@@ -403,7 +403,7 @@ def _add_scale_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend", default=None, choices=("auto", "pure", "numba", "cext"),
+        "--backend", default=None, choices=("auto", "pure", "cext"),
         help="kernel backend for the simulator hot path "
              "(default: REPRO_BACKEND env var, then auto; see docs/performance.md)",
     )
@@ -495,37 +495,18 @@ def cmd_simulate(args) -> int:
 
 
 def _scheduler_attribution(accel):
-    """Aggregate task-tree op counters across PEs (``None`` = no trees).
-
-    Trees accumulate per-op kernel/object call counts and escape reasons
-    unconditionally; per-op wall time only while profiling is enabled
-    (see :func:`repro.core.task_tree.enable_profiling`).
-    """
+    """Task-tree op calls per decision, summed over PEs (``None`` = no trees)."""
     trees = [
         tree for pe in accel.pes
         if (tree := getattr(pe.policy, "tree", None)) is not None
-        and hasattr(tree, "op_calls")
     ]
     if not trees:
         return None
     ops = {
-        op: {
-            "kernel": sum(t.op_calls[f"{op}_kernel"] for t in trees),
-            "object": sum(t.op_calls[f"{op}_object"] for t in trees),
-            "seconds": sum(t.op_seconds[op] for t in trees),
-        }
+        op: sum(t.op_calls[f"{op}_kernel"] for t in trees)
         for op in ("select", "fill", "complete")
     }
-    escapes = {
-        reason: sum(t.op_escapes[reason] for t in trees)
-        for reason in trees[0].op_escapes
-    }
-    return {
-        "kernel_calls": sum(o["kernel"] for o in ops.values()),
-        "object_calls": sum(o["object"] for o in ops.values()),
-        "ops": ops,
-        "escapes": escapes,
-    }
+    return {"calls": sum(ops.values()), "ops": ops}
 
 
 def cmd_profile(args) -> int:
@@ -537,26 +518,20 @@ def cmd_profile(args) -> int:
 
     from .sim.accelerator import Accelerator
 
-    from .core import task_tree
-
     kernels = _apply_backend(args)
     graph = _load_graph(args)
     schedule = benchmark_schedule(args.pattern)
     config = eval_config()
     profiler = cProfile.Profile()
     start = time.time()
-    task_tree.enable_profiling(True)
-    try:
-        with kernel_backend.instrument() as kernel_stats:
-            profiler.enable()
-            # Constructed directly (not through simulate()) so the
-            # macro-step core's fast-path coverage counters and the task
-            # trees' scheduler-attribution counters survive the run.
-            accel = Accelerator(graph, schedule, config, args.policy)
-            metrics = accel.run()
-            profiler.disable()
-    finally:
-        task_tree.enable_profiling(False)
+    with kernel_backend.instrument() as kernel_stats:
+        profiler.enable()
+        # Constructed directly (not through simulate()) so the
+        # macro-step core's fast-path coverage counters and the task
+        # trees' op counters survive the run.
+        accel = Accelerator(graph, schedule, config, args.policy)
+        metrics = accel.run()
+        profiler.disable()
     elapsed = time.time() - start
     print(metrics.summary())
     print(f"instrumented wall: {elapsed:.3f}s "
@@ -581,23 +556,9 @@ def cmd_profile(args) -> int:
         print("macro-step fast path: off (per-event booking)")
     scheduler = _scheduler_attribution(accel)
     if scheduler is not None:
-        kernel_calls = scheduler["kernel_calls"]
-        object_calls = scheduler["object_calls"]
-        total_calls = kernel_calls + object_calls
-        share = (kernel_calls / total_calls) if total_calls else 0.0
-        print(
-            f"scheduler (task tree): {kernel_calls:,d}/{total_calls:,d} "
-            f"decisions in compiled kernels ({share:.1%})"
-        )
-        for op in ("select", "fill", "complete"):
-            ck = scheduler["ops"][op]
-            print(
-                f"  {op:20s} {ck['kernel']:>10,d} kernel "
-                f"{ck['object']:>10,d} object  {ck['seconds']:8.3f}s"
-            )
-        for reason, count in scheduler["escapes"].items():
-            if count:
-                print(f"  escape {reason:13s} {count:>10,d}")
+        print(f"scheduler (task tree): {scheduler['calls']:,d} tree-op calls")
+        for op, calls in scheduler["ops"].items():
+            print(f"  {op:20s} {calls:>12,d}")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.json:

@@ -9,12 +9,11 @@ from .policies.parallel_dfs import ParallelDFSPolicy
 from .policies.shogun import ShogunPolicy
 from .splitting import Partition, apportion_helpers, plan_partitions
 from .task import SimTask, TaskState
-from .task_tree import Bunch, TaskTree
+from .task_tree import TaskTree
 from .tokens import INTERMEDIATE_REGION_BASE, SetBufferMap, TokenPool
 
 __all__ = [
     "BFSPolicy",
-    "Bunch",
     "DFSPolicy",
     "GroupDFSPolicy",
     "INTERMEDIATE_REGION_BASE",

@@ -68,7 +68,7 @@ class ShogunPolicy(SchedulingPolicy):
     def select_tasks(self, limit: int) -> List[SimTask]:
         """Batch form of :meth:`select_task` for the dispatch drain.
 
-        One monitor check, then one ``tree_select`` call schedules up to
+        One monitor check, then one ``select`` op call schedules up to
         ``limit`` tasks — exactly equivalent to ``limit`` single calls
         (the monitor epoch cannot advance mid-dispatch: all selections
         share one engine timestamp).

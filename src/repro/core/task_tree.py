@@ -35,33 +35,32 @@ per-bunch arrays (depth, capacity, in-use flag, tree id, active/executing
 counts, quiesce flag, a FIFO ring of ready entry slots) and per-entry
 arrays mirroring the :class:`SimTask` scheduling fields (vertex,
 child index, held token).  That is the same flat layout the hardware
-task SPM has — and it is what lets the hot scheduler decisions
-(``tree_select`` / ``tree_fill`` / ``tree_complete``) run as compiled
-backend kernels over raw ``int64`` buffers.
+task SPM has.  Each hot decision — select, fill, complete — is one call
+into the tree ops the active kernel backend binds over those arrays
+(``kernels.tree_bind(state)``): the C extension's struct binder, or the
+pure backend's interpreted closures that the C mirrors.  That is the
+only path, with or without a trace recorder or invariant checker
+attached.
 
 Python :class:`SimTask` objects are materialized *lazily*: a Ready entry
 is just an array row until the scheduler picks it.  Executing and
 Resting tasks are real objects (the PE pipeline and the split/merge
-machinery need them); the object path and the kernels mutate the same
-arrays, so there is exactly one source of truth.  Instrumented runs
-(trace recorder, invariant checker) pin the tree to the interpreted
-object path, whose token traffic flows through the per-depth
-:class:`~repro.core.tokens.ArrayTokenPool` adapters the checker wraps.
+machinery need them).  The cold edges — recycle propagation, waiter
+refill, partition intake — stay interpreted over the same arrays, so
+there is exactly one source of truth.
 
-A completion cannot soundly fuse the *next* ``tree_select`` into the
-same compiled call: selections happen at dispatch events, completions at
-completion events, and fusing them would start tasks one engine event
-early (changing kick coalescing and root feeding, i.e. real metrics).
-The compiled run-of-tasks instead lives at the dispatch site — one
-``tree_select`` batch call drains every free execution slot
-(:meth:`select_batch`), which is exactly equivalent to the per-call
-loop because bookings never mutate tree state.
+A completion cannot soundly fuse the *next* selection into the same op
+call: selections happen at dispatch events, completions at completion
+events, and fusing them would start tasks one engine event early
+(changing kick coalescing and root feeding, i.e. real metrics).  The
+run-of-tasks instead lives at the dispatch site — one ``select`` op call
+drains every free execution slot (:meth:`select_batch`), which is
+exactly equivalent to the per-call loop because bookings never mutate
+tree state.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -74,7 +73,7 @@ from .tokens import ArrayTokenPool
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.pe import PE
 
-#: ``ctl`` control-word indices (shared with the backend kernels).
+#: ``ctl`` control-word indices (shared with the backend tree ops).
 CTL_READY = 0       # schedulable Ready entries (quiesced trees included)
 CTL_EXECUTING = 1   # entries currently in the PE pipeline
 CTL_LAST_BUNCH = 2  # last-selected bunch (-1 = none): sibling preference
@@ -85,7 +84,7 @@ CTL_STALLS = 6      # diagnostic: token-validity stalls
 CTL_WAITS = 7       # diagnostic: spawns queued for an idle bunch
 CTL_WORDS = 8
 
-#: ``tree_complete`` transition results (shared with the backend kernels).
+#: ``complete`` op transition results (shared with the backend tree ops).
 DONE_SPAWNED = 0    # children admitted into out[0] (count in out[1])
 DONE_WAITING = 1    # no idle child bunch: parent queued
 DONE_EXTENDED = 2   # entry + token reused for the next candidate
@@ -93,17 +92,18 @@ DONE_IDLED = 3      # entry idled, bunch still has active entries
 DONE_RECYCLE = 4    # entry idled and the bunch drained: recycle in Python
 DONE_UNDERFLOW = 5  # active-count underflow (simulator bug)
 
-_DEBUG_CHECK = os.environ.get("REPRO_TREE_DEBUG", "") == "1"
 
-#: Module-level switch for ``repro profile``'s scheduler attribution:
-#: when on, trees accumulate per-op wall time in ``op_seconds``.
-PROFILING = False
+def _span(vertices) -> np.ndarray:
+    """Children as the contiguous ``int64`` span the tree ops read.
 
-
-def enable_profiling(on: bool = True) -> None:
-    """Toggle per-op timing on trees constructed afterwards."""
-    global PROFILING
-    PROFILING = on
+    Expansion children already are one; partition interiors, split
+    donors and hand-driven tests carry plain lists.  The task keeps its
+    own list: splitting extends it with ``+``, which on an ndarray would
+    add element-wise.
+    """
+    if isinstance(vertices, np.ndarray):
+        return vertices
+    return np.array(vertices, dtype=np.int64)
 
 
 class TaskTreeState:
@@ -194,37 +194,6 @@ class TaskTreeState:
         self.ctl[CTL_EXEC_BUNCH] = -1
 
 
-class Bunch:
-    """Read-only object view of one bunch (debugging / introspection).
-
-    The authoritative state lives in :class:`TaskTreeState`; this view is
-    built on demand by :meth:`TaskTree.bunch_view` for the instrumented,
-    splitting and merging inspection paths that want the PR-9-era object
-    shape.  ``ready`` lists ``(slot, vertex, child_index, token)`` tuples
-    in FIFO order.
-    """
-
-    __slots__ = ("depth", "capacity", "index", "parent", "ready", "active",
-                 "executing", "in_use", "tree")
-
-    def __init__(self, depth: int, capacity: int, index: int) -> None:
-        self.depth = depth
-        self.capacity = capacity
-        self.index = index
-        self.parent: Optional[SimTask] = None
-        self.ready: List[Tuple[int, int, int, Optional[int]]] = []
-        self.active = 0
-        self.executing = 0
-        self.in_use = False
-        self.tree: Optional[int] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Bunch(d={self.depth}, i={self.index}, in_use={self.in_use}, "
-            f"ready={len(self.ready)}, active={self.active})"
-        )
-
-
 class TaskTree:
     """Per-PE task tree: storage, FSM and scheduler."""
 
@@ -249,8 +218,8 @@ class TaskTree:
         self._root_range = range(int(s.d_start[0]), int(s.d_end[0]))
 
         # Address tokens gate output-set storage; leaf tasks produce none.
-        # The pools are views over the SoA token arrays (ArrayTokenPool),
-        # so the object path and the kernels share one book.
+        # The interpreted cold edges (partition intake, recycle) take and
+        # return them through views over the SoA token arrays the ops use.
         tpd = config.tokens_per_depth
         self.tokens: Dict[int, ArrayTokenPool] = {
             depth: ArrayTokenPool(
@@ -260,7 +229,6 @@ class TaskTree:
             )
             for depth in range(self.max_depth)
         }
-        self._pool_dicts = tuple(p.__dict__ for p in self.tokens.values())
         #: Preallocated buffer addresses per (depth, token).
         self._addr: List[List[int]] = [
             [pe.buffer_map.address(d, t) for t in range(tpd)]
@@ -273,103 +241,15 @@ class TaskTree:
         self._quiesced_trees: set = set()
         self._live_trees: set = set()
 
-        # Scheduler-attribution diagnostics (``repro profile``): per-op
-        # kernel/object call counts, object-path escape reasons, and —
-        # when profiling is enabled — per-op wall time.
-        self.op_calls = {
-            "select_kernel": 0, "select_object": 0,
-            "fill_kernel": 0, "fill_object": 0,
-            "complete_kernel": 0, "complete_object": 0,
-        }
-        self.op_escapes = {
-            "instrumented": 0,   # trace/invariant hooks pin the object path
-            "pinned_off": 0,     # config.tree_kernels=False (or no kernels)
-            "list_span": 0,      # children not a contiguous int64 span
-            "cold_path": 0,      # recycle propagation / partition intake
-        }
-        self.op_seconds = {"select": 0.0, "fill": 0.0, "complete": 0.0}
-        self._profiling = PROFILING
-
+        #: Tree-op calls per decision (``repro profile``'s scheduler
+        #: section).
+        self.op_calls = {"select_kernel": 0, "fill_kernel": 0, "complete_kernel": 0}
         self._out_slots = np.zeros(max(16, s.nb * s.cap), dtype=np.int64)
         self._out2 = np.zeros(2, dtype=np.int64)
         self._empty_children = np.zeros(0, dtype=np.int64)
-        self._kernel_ops = None
-        self._bind_kernels(config)
-
-    # ------------------------------------------------------------------
-    # kernel binding
-    # ------------------------------------------------------------------
-    def _bind_kernels(self, config) -> None:
-        """Bind the backend's tree kernels over this tree's arrays.
-
-        ``config.tree_kernels`` mirrors ``macro_step``: ``None`` (auto)
-        uses the kernels exactly when the active backend is compiled,
-        ``True`` forces them (including the interpreted reference loops
-        under pure — the differential-testing configuration), ``False``
-        pins the object path.
-        """
-        mode = getattr(config, "tree_kernels", None)
-        if mode is False:
-            return
-        memory = getattr(self.pe, "memory", None)
-        kernels = getattr(memory, "_kernels", None)
-        if kernels is None:
-            return
-        binder = getattr(kernels, "tree_bind", None)
-        if binder is not None and (mode is True or kernels.compiled):
-            self._kernel_ops = binder(self.state)
-            return
-        select = getattr(kernels, "tree_select", None)
-        if select is None or not (mode is True or kernels.compiled):
-            return
-        s = self.state
-        shared = (
-            s.b_depth, s.b_cap, s.b_in_use, s.b_tree, s.b_quiesced,
-            s.b_active, s.b_executing, s.ring, s.ring_head, s.ring_len,
-            s.e_vertex, s.e_child_index, s.e_token,
-            s.tok_free, s.tok_n, s.d_start, s.d_end, s.ctl,
-            s.nb, s.cap, s.max_depth, s.tokens_per_depth,
-        )
-        fill = kernels.tree_fill
-        complete = kernels.tree_complete
-
-        class _Ops:
-            __slots__ = ("select", "fill", "complete")
-
-        ops = _Ops()
-        ops.select = lambda conservative, k, out: select(
-            *shared, conservative, k, out
-        )
-        ops.fill = lambda b, tree_id, quiesced, vertices, first, count: fill(
-            *shared, b, tree_id, quiesced, vertices, first, count
-        )
-        ops.complete = (
-            lambda slot, b, has_children, children, first, navail,
-            parent_unexplored, ext_vertex, ext_position, tree_quiesced, out:
-            complete(
-                *shared, slot, b, has_children, children, first, navail,
-                parent_unexplored, ext_vertex, ext_position, tree_quiesced,
-                out,
-            )
-        )
-        self._kernel_ops = ops
-
-    def _kernels_allowed(self) -> bool:
-        """Whether the compiled path may run *right now*.
-
-        Instrumentation (trace recorder, invariant checker) installs
-        instance-attribute wrappers on the PE hooks and/or the token
-        pool adapters; any of those pins the tree to the object path so
-        every wrapped call keeps firing.  Checked per call — hooks can
-        attach at any time between events.
-        """
-        pe_dict = self.pe.__dict__
-        if "_start_task" in pe_dict or "_complete_task" in pe_dict:
-            return False
-        for pool_dict in self._pool_dicts:
-            if "acquire" in pool_dict or "release" in pool_dict:
-                return False
-        return True
+        #: ``select``/``fill``/``complete`` bound over ``state`` by the
+        #: active kernel backend.
+        self._ops = pe.memory._kernels.tree_bind(s)
 
     # ------------------------------------------------------------------
     # root / partition intake
@@ -482,162 +362,33 @@ class TaskTree:
     # scheduling (Figure 7)
     # ------------------------------------------------------------------
     def select(self, conservative: bool) -> Optional[SimTask]:
-        """Pick the next task to execute, honoring tokens and the mode.
-
-        Bunches are considered in preference order (siblings of the last
-        selection first, then round-robin; conservative mode restricts to
-        the executing bunch).  The decision itself runs in the backend's
-        ``tree_select`` kernel when one is bound and no instrumentation
-        pins the object path; both paths mutate the same arrays.
-        """
-        s = self.state
-        if not s.ctl[CTL_READY]:
-            return None
-        ops = self._kernel_ops
-        if ops is not None and self._kernels_allowed():
-            self.op_calls["select_kernel"] += 1
-            if self._profiling:
-                begin = time.perf_counter()
-                n = ops.select(1 if conservative else 0, 1, self._out_slots)
-                self.op_seconds["select"] += time.perf_counter() - begin
-            else:
-                n = ops.select(1 if conservative else 0, 1, self._out_slots)
-            if n == 0:
-                return None
-            return self._materialize(int(self._out_slots[0]))
-        if ops is not None:
-            self.op_escapes["instrumented"] += 1
-        else:
-            self.op_escapes["pinned_off"] += 1
-        self.op_calls["select_object"] += 1
-        return self._select_py(conservative)
+        """Pick the next task to execute (a batch of one)."""
+        tasks = self.select_batch(conservative, 1)
+        return tasks[0] if tasks else None
 
     def select_batch(self, conservative: bool, limit: int) -> List[SimTask]:
-        """Schedule up to ``limit`` tasks in one compiled run.
+        """Schedule up to ``limit`` tasks in one ``select`` op call.
 
-        Exactly equivalent to calling :meth:`select` ``limit`` times and
-        stopping at the first ``None``: a selection only reads and writes
-        tree/token state, which bookings never touch, so draining a whole
-        dispatch's worth of free slots in one kernel call preserves
-        per-call order bit-for-bit (including token-stall accounting).
+        Bunches are considered in preference order (siblings of the last
+        selection first, then round-robin; conservative mode restricts
+        to the executing bunch), honoring token validity.  One call is
+        exactly equivalent to ``limit`` single selections stopping at
+        the first failure: a selection only reads and writes tree/token
+        state, which bookings never touch, so per-call order (including
+        token-stall accounting) is preserved bit for bit.
         """
-        if limit <= 0:
+        if limit <= 0 or not self.state.ctl[CTL_READY]:
             return []
-        s = self.state
-        if not s.ctl[CTL_READY]:
-            return []
-        ops = self._kernel_ops
-        if ops is not None and self._kernels_allowed():
-            out = self._out_slots
-            self.op_calls["select_kernel"] += 1
-            if self._profiling:
-                begin = time.perf_counter()
-                n = ops.select(1 if conservative else 0, limit, out)
-                self.op_seconds["select"] += time.perf_counter() - begin
-            else:
-                n = ops.select(1 if conservative else 0, limit, out)
-            materialize = self._materialize
-            return [materialize(int(out[i])) for i in range(n)]
-        if ops is not None:
-            self.op_escapes["instrumented"] += 1
-        else:
-            self.op_escapes["pinned_off"] += 1
-        tasks: List[SimTask] = []
-        select_py = self._select_py
-        calls = self.op_calls
-        while len(tasks) < limit:
-            if not s.ctl[CTL_READY]:
-                break
-            calls["select_object"] += 1
-            task = select_py(conservative)
-            if task is None:
-                break
-            tasks.append(task)
-        return tasks
+        self.op_calls["select_kernel"] += 1
+        out = self._out_slots
+        n = self._ops.select(1 if conservative else 0, limit, out)
+        materialize = self._materialize
+        return [materialize(int(out[i])) for i in range(n)]
 
-    def _select_py(self, conservative: bool) -> Optional[SimTask]:
-        """Interpreted mirror of the ``tree_select`` kernel."""
-        s = self.state
-        ctl = s.ctl
-        ring_len = s.ring_len
-        quiesced = s.b_quiesced
-        if conservative and ctl[CTL_EXECUTING] > 0:
-            b = int(ctl[CTL_EXEC_BUNCH])
-            if b >= 0 and ring_len[b] and not quiesced[b]:
-                return self._schedule_from(b)
-            return None
-        last = int(ctl[CTL_LAST_BUNCH])
-        if last >= 0 and ring_len[last] and not quiesced[last]:
-            task = self._schedule_from(last)
-            if task is not None:
-                return task
-        n = s.nb
-        start = int(ctl[CTL_RR_CURSOR])
-        for offset in range(n):
-            b = (start + offset) % n
-            if b == last or not ring_len[b] or quiesced[b]:
-                continue
-            ctl[CTL_RR_CURSOR] = (start + offset + 1) % n
-            task = self._schedule_from(b)
-            if task is not None:
-                return task
-        return None
-
-    def _schedule_from(self, b: int) -> Optional[SimTask]:
-        """Schedule one Ready entry out of bunch ``b`` (``None`` = stall).
-
-        Extended entries keep their token; only tokenless entries contend
-        for the depth's pool (the Figure 7 valid check).  With the pool
-        drained, a token-holding entry anywhere in the bunch is still
-        schedulable — the scheduler reads all entries of a bunch, so no
-        head-of-line blocking.
-        """
-        s = self.state
-        depth = int(s.b_depth[b])
-        leaf = depth >= self.max_depth
-        cap = s.cap
-        base = b * cap
-        ring = s.ring
-        head = int(s.ring_head[b])
-        length = int(s.ring_len[b])
-        if leaf or s.tok_n[depth] > 0:
-            slot = int(ring[base + head])
-            s.ring_head[b] = (head + 1) % cap
-            s.ring_len[b] = length - 1
-        else:
-            e_token = s.e_token
-            slot = -1
-            for j in range(length):
-                cand = int(ring[base + (head + j) % cap])
-                if e_token[cand] >= 0:
-                    slot = cand
-                    for k in range(j, length - 1):
-                        ring[base + (head + k) % cap] = (
-                            ring[base + (head + k + 1) % cap]
-                        )
-                    s.ring_len[b] = length - 1
-                    break
-            if slot < 0:
-                s.ctl[CTL_STALLS] += 1
-                return None
-        s.ctl[CTL_READY] -= 1
-        if not leaf and s.e_token[slot] < 0:
-            # The pool was non-empty (checked above); acquire through the
-            # adapter so instrumented wrappers observe the traffic.
-            s.e_token[slot] = self.tokens[depth].acquire()
-        s.b_executing[b] += 1
-        ctl = s.ctl
-        ctl[CTL_EXECUTING] += 1
-        ctl[CTL_EXEC_BUNCH] = b
-        ctl[CTL_LAST_BUNCH] = b
-        ctl[CTL_SCHEDULED] += 1
-        return self._materialize(slot, b)
-
-    def _materialize(self, slot: int, b: Optional[int] = None) -> SimTask:
+    def _materialize(self, slot: int) -> SimTask:
         """Build the Executing :class:`SimTask` for a just-scheduled slot."""
         s = self.state
-        if b is None:
-            b = slot // s.cap
+        b = slot // s.cap
         parent = self._bunch_parent[b]
         v = int(s.e_vertex[slot])
         depth = int(s.b_depth[b])
@@ -667,99 +418,52 @@ class TaskTree:
     # completion, spawning, extending (Figures 5/6)
     # ------------------------------------------------------------------
     def on_complete(self, task: SimTask) -> None:
-        """A task finished its PE pipeline; advance the FSM."""
-        b = self._bunch_of(task)
-        s = self.state
-        cv = task.children_vertices
-        has_children = cv is not None and len(cv) > 0
-        ops = self._kernel_ops
-        if ops is not None:
-            if not self._kernels_allowed():
-                self.op_escapes["instrumented"] += 1
-            elif has_children and not (
-                isinstance(cv, np.ndarray) and cv.dtype == np.int64
-            ):
-                # Partition interiors / tests hand the tree plain lists;
-                # the kernel wants one contiguous int64 span.
-                self.op_escapes["list_span"] += 1
-            else:
-                self._complete_kernel(task, b, cv, has_children)
-                return
-        else:
-            self.op_escapes["pinned_off"] += 1
-        self.op_calls["complete_object"] += 1
-        s.b_executing[b] -= 1
-        s.ctl[CTL_EXECUTING] -= 1
-        if has_children:
-            self._spawn_or_wait(task)
-        else:
-            self._retire_set(task)
-            self._extend_or_idle(task, b)
+        """A task finished its PE pipeline; advance the FSM.
 
-    def _complete_kernel(self, task, b, cv, has_children) -> None:
-        """Run the whole completion transition in the backend kernel."""
-        ops = self._kernel_ops
+        The whole transition is one ``complete`` op call; Python only
+        parks a parent that found no idle child bunch and runs the cold
+        recycle edge of a drained bunch.
+        """
+        b = self._bunch_of(task)
         self.op_calls["complete_kernel"] += 1
         out = self._out2
-        if has_children:
+        cv = task.children_vertices
+        if cv is not None and len(cv):
             first = task.next_child
-            tree_quiesced = 1 if task.tree in self._quiesced_trees else 0
-            if self._profiling:
-                begin = time.perf_counter()
-                action = ops.complete(
-                    task.slot, b, 1, cv, first, len(cv), 0, 0, 0,
-                    tree_quiesced, out,
-                )
-                self.op_seconds["complete"] += time.perf_counter() - begin
-            else:
-                action = ops.complete(
-                    task.slot, b, 1, cv, first, len(cv), 0, 0, 0,
-                    tree_quiesced, out,
-                )
+            action = self._ops.complete(
+                task.slot, b, 1, _span(cv), first, len(cv), 0, 0, 0,
+                1 if task.tree in self._quiesced_trees else 0, out,
+            )
             task.state = TaskState.RESTING
             if action == DONE_SPAWNED:
-                target = int(out[0])
-                self._bunch_parent[target] = task
+                self._bunch_parent[int(out[0])] = task
                 task.next_child = first + int(out[1])
-                return
-            if action == DONE_UNDERFLOW:
+            elif action == DONE_WAITING:
+                self._waiting_spawn[task.depth + 1].append(task)
+            else:
                 raise SimulationError("spawning with no unexplored candidates")
-            # DONE_WAITING: the kernel counted the wait; queue the parent.
-            self._waiting_spawn[task.depth + 1].append(task)
             return
         self._retire_set(task)
         parent = task.parent
-        ext_vertex = 0
-        ext_position = 0
-        unexplored = 0
+        unexplored = ext_vertex = ext_position = 0
         if parent is not None:
             unexplored = parent.unexplored
             if unexplored > 0:
                 ext_position = parent.next_child
                 ext_vertex = int(parent.children_vertices[ext_position])
-        if self._profiling:
-            begin = time.perf_counter()
-            action = ops.complete(
-                task.slot, b, 0, self._empty_children, 0, 0,
-                unexplored, ext_vertex, ext_position, 0, out,
-            )
-            self.op_seconds["complete"] += time.perf_counter() - begin
-        else:
-            action = ops.complete(
-                task.slot, b, 0, self._empty_children, 0, 0,
-                unexplored, ext_vertex, ext_position, 0, out,
-            )
+        action = self._ops.complete(
+            task.slot, b, 0, self._empty_children, 0, 0,
+            unexplored, ext_vertex, ext_position, 0, out,
+        )
         if action == DONE_EXTENDED:
             parent.next_child = ext_position + 1
-            task.state = TaskState.IDLE
-            return
-        if action == DONE_UNDERFLOW:
+        elif action == DONE_UNDERFLOW:
             raise SimulationError("bunch active count underflow")
-        # DONE_IDLED / DONE_RECYCLE: the kernel released the entry token.
-        task.token = None
+        else:
+            # DONE_IDLED / DONE_RECYCLE: the op released the entry token.
+            task.token = None
         task.state = TaskState.IDLE
         if action == DONE_RECYCLE:
-            self.op_escapes["cold_path"] += 1
             self._recycle(b)
 
     def _bunch_of(self, task: SimTask) -> int:
@@ -797,63 +501,26 @@ class TaskTree:
         """Admit the parent's next candidate span into idle bunch ``b``.
 
         Children are *not* materialized: each becomes one row of the
-        per-entry arrays plus a ready-ring slot, built from the parent's
-        contiguous candidate span in one pass (compiled ``tree_fill``
-        when bound; this mirror otherwise).
+        per-entry arrays plus a ready-ring slot, admitted from the
+        parent's contiguous candidate span in one ``fill`` op call.
         """
-        s = self.state
         vertices = parent.children_vertices
         first = parent.next_child
-        count = min(int(s.b_cap[b]), len(vertices) - first)
+        count = min(int(self.state.b_cap[b]), len(vertices) - first)
         if count <= 0:
             raise SimulationError("spawning with no unexplored candidates")
         tree = parent.tree
-        quiesced = 1 if tree in self._quiesced_trees else 0
         self._bunch_parent[b] = parent
-        ops = self._kernel_ops
-        if (
-            ops is not None
-            and isinstance(vertices, np.ndarray)
-            and vertices.dtype == np.int64
-            and self._kernels_allowed()
-        ):
-            self.op_calls["fill_kernel"] += 1
-            if self._profiling:
-                begin = time.perf_counter()
-                ops.fill(b, tree, quiesced, vertices, first, count)
-                self.op_seconds["fill"] += time.perf_counter() - begin
-            else:
-                ops.fill(b, tree, quiesced, vertices, first, count)
-        else:
-            if ops is None:
-                self.op_escapes["pinned_off"] += 1
-            elif not self._kernels_allowed():
-                self.op_escapes["instrumented"] += 1
-            else:
-                self.op_escapes["list_span"] += 1
-            self.op_calls["fill_object"] += 1
-            s.b_in_use[b] = 1
-            s.b_tree[b] = tree
-            s.b_quiesced[b] = quiesced
-            base = b * s.cap
-            e_vertex = s.e_vertex
-            e_child_index = s.e_child_index
-            e_token = s.e_token
-            ring = s.ring
-            for i in range(count):
-                slot = base + i
-                e_vertex[slot] = vertices[first + i]
-                e_child_index[slot] = first + i
-                e_token[slot] = -1
-                ring[slot] = slot
-            s.ring_head[b] = 0
-            s.ring_len[b] = count
-            s.ctl[CTL_READY] += count
-            s.b_active[b] = count
+        self.op_calls["fill_kernel"] += 1
+        self._ops.fill(
+            b, tree, 1 if tree in self._quiesced_trees else 0,
+            _span(vertices), first, count,
+        )
         parent.next_child = first + count
 
     def _extend_or_idle(self, task: SimTask, b: int) -> None:
-        """Task extending / entry recycling (§3.2.2)."""
+        """Task extending / entry recycling (§3.2.2) for a Resting parent
+        whose child bunch just drained (the cold recycle edge)."""
         s = self.state
         parent = task.parent
         if parent is not None and parent.unexplored > 0:
@@ -891,8 +558,8 @@ class TaskTree:
 
         This is the cold edge of the FSM (waiter refill, tree completion
         callbacks, upward propagation through Python parent objects) and
-        deliberately stays interpreted; the kernels stop at
-        ``DONE_RECYCLE`` and hand the drained bunch here.
+        deliberately stays interpreted; the ``complete`` op stops at
+        ``DONE_RECYCLE`` and hands the drained bunch here.
         """
         s = self.state
         parent = self._bunch_parent[b]
@@ -946,35 +613,13 @@ class TaskTree:
         """
         s = self.state
         if not self._quiesced_trees:
-            count = int(s.ctl[CTL_READY])
-        else:
-            mask = (s.ring_len > 0) & (s.b_quiesced == 0)
-            count = int(s.ring_len[mask].sum())
-        if _DEBUG_CHECK:
-            self._debug_cross_check(count)
-        return count
+            return int(s.ctl[CTL_READY])
+        mask = (s.ring_len > 0) & (s.b_quiesced == 0)
+        return int(s.ring_len[mask].sum())
 
     def executing_count(self) -> int:
         """Tasks currently in the PE pipeline (SoA counter)."""
         return int(self.state.ctl[CTL_EXECUTING])
-
-    def _debug_cross_check(self, ready: int) -> None:
-        """REPRO_TREE_DEBUG=1: counters vs the object view, every read."""
-        s = self.state
-        view_ready = sum(
-            len(b.ready)
-            for views in self.bunch_views().values()
-            for b in views
-            if b.ready and b.tree not in self._quiesced_trees
-        )
-        total = int(s.ring_len.sum())
-        if ready != view_ready or int(s.ctl[CTL_READY]) != total:
-            raise SimulationError(
-                f"SoA/object ready divergence: counter={ready} "
-                f"view={view_ready} ctl={int(s.ctl[CTL_READY])} rings={total}"
-            )
-        if int(s.ctl[CTL_EXECUTING]) != int(s.b_executing.sum()):
-            raise SimulationError("SoA/object executing divergence")
 
     #: Diagnostic counters (read by metrics collection) — SoA-backed.
     @property
@@ -1017,38 +662,6 @@ class TaskTree:
         bunches = int(mine.sum())
         max_depth = int(s.b_depth[mine].max()) if bunches else 0
         return {"bunches": bunches, "max_depth": max_depth}
-
-    def bunch_views(self) -> Dict[int, List[Bunch]]:
-        """Object view of every bunch (depth → construction order)."""
-        views: Dict[int, List[Bunch]] = {
-            depth: [] for depth in range(self.max_depth + 1)
-        }
-        for b in range(self.state.nb):
-            view = self.bunch_view(b)
-            views[view.depth].append(view)
-        return views
-
-    def bunch_view(self, b: int) -> Bunch:
-        """Materialize the read-only object view of bunch ``b``."""
-        s = self.state
-        view = Bunch(int(s.b_depth[b]), int(s.b_cap[b]), int(s.b_index[b]))
-        view.in_use = bool(s.b_in_use[b])
-        view.tree = int(s.b_tree[b]) if s.b_tree[b] >= 0 else None
-        view.parent = self._bunch_parent[b]
-        view.active = int(s.b_active[b])
-        view.executing = int(s.b_executing[b])
-        base = b * s.cap
-        head = int(s.ring_head[b])
-        for j in range(int(s.ring_len[b])):
-            slot = int(s.ring[base + (head + j) % s.cap])
-            token = int(s.e_token[slot])
-            view.ready.append((
-                slot,
-                int(s.e_vertex[slot]),
-                int(s.e_child_index[slot]),
-                token if token >= 0 else None,
-            ))
-        return view
 
     # ------------------------------------------------------------------
     # splitting support (§4.1)

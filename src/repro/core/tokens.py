@@ -103,15 +103,12 @@ class ArrayTokenPool:
 
     The struct-of-arrays task tree keeps its token state in two flat
     ``int64`` arrays (a LIFO free stack per depth plus a free count) so
-    compiled scheduler kernels can acquire and release without touching
-    Python.  This adapter exposes the slice of those arrays for one depth
-    through the :class:`TokenPool` object API — ``acquire``/``release``/
-    ``available``/``held`` — which is what the validation harness wraps
-    and checks.  Because the adapter reads and writes the *same* memory
-    the kernels do, the object view and the kernel view can never drift.
-
-    Deliberately a plain class (no ``__slots__``): the invariant checker
-    installs instrumented ``acquire``/``release`` as instance attributes.
+    the tree ops can acquire and release without touching Python
+    objects.  This adapter exposes the slice of those arrays for one
+    depth through the :class:`TokenPool` object API — ``acquire``/
+    ``release``/``available``/``held`` — for the tree's interpreted cold
+    edges (partition intake, recycle).  Because it reads and writes the
+    *same* memory the ops do, the two views can never drift.
 
     The stack discipline is bit-compatible with :class:`TokenPool`:
     the free stack is initialized ``[count-1 .. 0]`` with the top at the

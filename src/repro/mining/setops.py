@@ -28,7 +28,7 @@ cases (an empty operand) resolve here so every backend shares their
 exact semantics, and the general case routes through the module globals
 ``_intersect_impl`` / ``_subtract_impl``.  The defaults are the numpy
 implementations below; ``repro.sim.backend`` rebinds them when a
-compiled backend (numba / C extension) is selected.  All
+compiled backend (the C extension) is selected.  All
 implementations produce identical arrays — sorted unique ``int64`` —
 so every accounted metric downstream is backend-independent.
 """

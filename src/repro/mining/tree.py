@@ -334,8 +334,8 @@ class SearchContext:
         and drops vertices already used by the embedding.  The returned
         ``int64`` array is ascending — the order in which the task tree
         fetches candidate vertices — and is one contiguous span per
-        parent, which is what the task tree's batch child admission
-        (``tree_fill``) consumes directly.  Callers must treat it as
+        parent, which is what the task tree's ``fill`` op consumes
+        directly.  Callers must treat it as
         read-only: it may alias the candidate set.
         """
         d = len(embedding)

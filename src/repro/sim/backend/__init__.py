@@ -2,15 +2,13 @@
 
 The hottest validated kernels — sorted-set intersection/subtraction
 (``mining/setops.py``), span residency/stamping and EMA latency folds
-(``sim/memory.py``), and the event-drain inner loop (``sim/engine.py``)
-— live behind this interface with three implementations:
+(``sim/memory.py``), the task tree's scheduler ops (``tree_bind``), and
+the event-drain inner loop (``sim/engine.py``) — live behind this
+interface with two implementations:
 
 ``pure``
     The existing python/numpy reference (:mod:`.pure`).  Always
-    available; every other backend is differential-tested against it.
-``numba``
-    The loop kernels of :mod:`._loops` JIT-compiled by numba
-    (:mod:`.numba_backend`).  Available when numba is installed.
+    available; the compiled backend is differential-tested against it.
 ``cext``
     The same loops as C, compiled on demand with the system compiler
     and loaded through cffi's ABI mode (:mod:`.cext`).  Available when
@@ -19,13 +17,13 @@ The hottest validated kernels — sorted-set intersection/subtraction
 Selection
 ---------
 Explicit wins over ambient: ``SimConfig.backend`` (per simulation) >
-``REPRO_BACKEND`` (per process) > ``auto``.  ``auto`` picks the first
-available of ``cext`` > ``numba`` > ``pure``.  A requested backend
-whose dependency is missing falls back down that same order with a
-one-time warning — simulations never fail because a toolchain is
-absent.  All backends produce byte-identical accounted metrics; only
-wall time differs (``repro validate`` and the golden registry hold
-under every backend).
+``REPRO_BACKEND`` (per process) > ``auto``.  ``auto`` picks ``cext``
+when it is available, else ``pure``.  A requested backend whose
+dependency is missing falls back down that same order with a one-time
+warning — simulations never fail because a toolchain is absent.  Both
+backends produce byte-identical accounted metrics; only wall time
+differs (``repro validate`` and the golden registry hold under
+either).
 
 Selection is process-global: activating a backend rebinds the
 ``setops`` implementation globals and the kernel set that
@@ -61,7 +59,7 @@ __all__ = [
 ]
 
 #: ``auto`` preference order (fastest first, ``pure`` always last).
-AUTO_ORDER = ("cext", "numba", "pure")
+AUTO_ORDER = ("cext", "pure")
 
 #: Names accepted by ``SimConfig.backend`` / ``REPRO_BACKEND``.
 BACKEND_NAMES = ("auto",) + AUTO_ORDER
@@ -76,22 +74,12 @@ def _make_pure() -> KernelSet:
         _pure.intersect_multi,
         _pure.span_resident_stamp,
         _pure.ema_fold,
+        _pure.tree_bind,
         # The interpreted reference of the macro-step core: slower than
         # per-event booking, but lets the parity suite force the macro
         # path under the pure backend (config.macro_step=True).
         task_fastpath=_loops.task_fastpath_loop,
-        # Interpreted task-tree scheduler kernels, for the same reason:
-        # config.tree_kernels=True differential-tests them under pure.
-        tree_select=_loops.tree_select_loop,
-        tree_fill=_loops.tree_fill_loop,
-        tree_complete=_loops.tree_complete_loop,
     )
-
-
-def _make_numba() -> KernelSet:
-    from . import numba_backend
-
-    return numba_backend.make_kernels()
 
 
 def _make_cext() -> KernelSet:
@@ -100,7 +88,7 @@ def _make_cext() -> KernelSet:
     return cext.make_kernels()
 
 
-_FACTORIES = {"pure": _make_pure, "numba": _make_numba, "cext": _make_cext}
+_FACTORIES = {"pure": _make_pure, "cext": _make_cext}
 
 _instances: Dict[str, KernelSet] = {}
 _failures: Dict[str, str] = {}

@@ -1,18 +1,21 @@
-"""Loop-form kernel bodies shared by the numba backend and its tests.
+"""Loop-form reference bodies of the compiled kernels.
 
-Each function here is the scalar-loop formulation of one backend kernel,
-written in the numba-compilable subset of Python (no dicts, no numpy
-fancy indexing, plain ``while``/``for`` over ``int64`` buffers).  The
-numba backend wraps them in ``njit``; the parity tests run the very same
-functions *interpreted*, so the kernel logic is covered locally even
-when numba is not installed.
+Each function here is the scalar-loop formulation of one backend kernel:
+plain ``while``/``for`` loops over flat ``int64``/``float64`` buffers.
+The C extension backend mirrors these bodies statement for statement;
+the parity tests run them *interpreted* against the pure reference, and
+the pure backend runs :func:`task_fastpath_loop` as the macro-step
+core's interpreted oracle.  The task-tree ops have no body here: the C
+extension mirrors the pure backend's interpreted tree binder
+(:func:`.pure.tree_bind`) instead, and the task-tree parity suite
+proves the two equal.
 
 Floating-point kernels (:func:`ema_fold_loop`) use exactly the same
 double-precision expressions, in the same order, as the pure backend's
 Python loops — IEEE-754 doubles make the results bit-identical, which is
 what keeps golden metrics byte-identical across backends.  The C
-extension backend mirrors these bodies statement for statement (and is
-compiled with ``-ffp-contract=off`` so no fused multiply-adds sneak in).
+extension is compiled with ``-ffp-contract=off`` so no fused
+multiply-adds sneak in.
 """
 
 from __future__ import annotations
@@ -505,198 +508,3 @@ def ema_fold_loop(state, alpha, latency, n) -> None:
     state[0] = value
     state[1] = total
 
-
-def tree_select_loop(
-    b_depth, b_cap, b_in_use, b_tree, b_quiesced, b_active, b_executing,
-    ring, ring_head, ring_len, e_vertex, e_child_index, e_token,
-    tok_free, tok_n, d_start, d_end, ctl, nb, cap, max_depth,
-    tokens_per_depth, conservative, k, out_slots,
-) -> int:
-    """Schedule up to ``k`` Ready task-tree entries; returns the count.
-
-    The loop body mirrors ``TaskTree._select_py`` + ``_schedule_from``
-    statement for statement: sibling preference (the last-selected
-    bunch), then round-robin over the bunch list — conservative mode
-    restricts to the executing bunch while anything executes.  A bunch
-    whose depth pool is drained is scanned for an entry that already
-    holds a token (extended entries); a fruitless scan counts one token
-    stall (``ctl[6]``) and moves on.  Scheduled slot ids land in
-    ``out_slots``; the caller materializes the task objects.
-
-    ``ctl`` word indices and the returned action codes are the module
-    constants of :mod:`repro.core.task_tree` (inlined literals here so
-    the body stays in the numba-compilable subset).
-    """
-    count = 0
-    while count < k:
-        if ctl[0] == 0:  # CTL_READY
-            break
-        picked = -1
-        if conservative == 1 and ctl[1] > 0:  # CTL_EXECUTING
-            attempts = 1
-        else:
-            attempts = nb + 1
-        last = ctl[2]  # CTL_LAST_BUNCH
-        start = ctl[4]  # CTL_RR_CURSOR
-        for attempt in range(attempts):
-            if attempts == 1:
-                # Conservative: only the executing bunch, no fallback.
-                b = ctl[3]  # CTL_EXEC_BUNCH
-                if b < 0 or ring_len[b] == 0 or b_quiesced[b] != 0:
-                    break
-            elif attempt == 0:
-                # Sibling preference: the last-selected bunch first.
-                b = last
-                if b < 0 or ring_len[b] == 0 or b_quiesced[b] != 0:
-                    continue
-            else:
-                b = (start + attempt - 1) % nb
-                if b == last or ring_len[b] == 0 or b_quiesced[b] != 0:
-                    continue
-                ctl[4] = (start + attempt) % nb
-            # Schedule one Ready entry out of bunch ``b``.
-            depth = b_depth[b]
-            leaf = 1 if depth >= max_depth else 0
-            base = b * cap
-            head = ring_head[b]
-            length = ring_len[b]
-            slot = -1
-            if leaf == 1 or tok_n[depth] > 0:
-                slot = ring[base + head]
-                ring_head[b] = (head + 1) % cap
-                ring_len[b] = length - 1
-            else:
-                # Pool drained: any entry already holding a token is
-                # still valid (ordered middle deletion from the ring).
-                for j in range(length):
-                    cand = ring[base + (head + j) % cap]
-                    if e_token[cand] >= 0:
-                        slot = cand
-                        for m in range(j, length - 1):
-                            ring[base + (head + m) % cap] = (
-                                ring[base + (head + m + 1) % cap]
-                            )
-                        ring_len[b] = length - 1
-                        break
-                if slot < 0:
-                    ctl[6] += 1  # CTL_STALLS
-                    continue
-            ctl[0] -= 1
-            if leaf == 0 and e_token[slot] < 0:
-                n_free = tok_n[depth] - 1
-                tok_n[depth] = n_free
-                e_token[slot] = tok_free[depth * tokens_per_depth + n_free]
-            b_executing[b] += 1
-            ctl[1] += 1
-            ctl[3] = b
-            ctl[2] = b
-            ctl[5] += 1  # CTL_SCHEDULED
-            picked = slot
-            break
-        if picked < 0:
-            break
-        out_slots[count] = picked
-        count += 1
-    return count
-
-
-def tree_fill_loop(
-    b_depth, b_cap, b_in_use, b_tree, b_quiesced, b_active, b_executing,
-    ring, ring_head, ring_len, e_vertex, e_child_index, e_token,
-    tok_free, tok_n, d_start, d_end, ctl, nb, cap, max_depth,
-    tokens_per_depth, b, tree_id, quiesced, vertices, first, count,
-) -> int:
-    """Admit ``count`` candidates into idle bunch ``b`` as Ready rows.
-
-    Mirror of the object path of ``TaskTree._fill_bunch``: one array row
-    plus one ready-ring slot per admitted candidate, tokenless (tokens
-    are acquired at selection).  Returns ``count``.
-    """
-    b_in_use[b] = 1
-    b_tree[b] = tree_id
-    b_quiesced[b] = quiesced
-    base = b * cap
-    for i in range(count):
-        slot = base + i
-        e_vertex[slot] = vertices[first + i]
-        e_child_index[slot] = first + i
-        e_token[slot] = -1
-        ring[slot] = slot
-    ring_head[b] = 0
-    ring_len[b] = count
-    ctl[0] += count  # CTL_READY
-    b_active[b] = count
-    return count
-
-
-def tree_complete_loop(
-    b_depth, b_cap, b_in_use, b_tree, b_quiesced, b_active, b_executing,
-    ring, ring_head, ring_len, e_vertex, e_child_index, e_token,
-    tok_free, tok_n, d_start, d_end, ctl, nb, cap, max_depth,
-    tokens_per_depth, slot, b, has_children, children, first, navail,
-    parent_unexplored, ext_vertex, ext_position, tree_quiesced, out,
-) -> int:
-    """Run one task-completion FSM transition; returns a DONE_* code.
-
-    Mirror of ``TaskTree.on_complete``'s object path: spawn-or-wait when
-    the task has children (``out`` receives the filled bunch and count),
-    extend-or-idle otherwise.  The cold recycle edge (waiter refill,
-    upward completion propagation) stays in Python — the kernel stops at
-    ``DONE_RECYCLE`` with the bunch drained and the token released.
-    """
-    b_executing[b] -= 1
-    ctl[1] -= 1  # CTL_EXECUTING
-    if has_children == 1:
-        child_depth = b_depth[b] + 1
-        target = -1
-        for bb in range(d_start[child_depth], d_end[child_depth]):
-            if b_in_use[bb] == 0:
-                target = bb
-                break
-        if target < 0:
-            ctl[7] += 1  # CTL_WAITS
-            return 1  # DONE_WAITING
-        cnt = navail - first
-        if cnt > b_cap[target]:
-            cnt = b_cap[target]
-        if cnt <= 0:
-            return 5  # DONE_UNDERFLOW (spawn with nothing unexplored)
-        b_in_use[target] = 1
-        b_tree[target] = b_tree[b]
-        b_quiesced[target] = tree_quiesced
-        tbase = target * cap
-        for i in range(cnt):
-            tslot = tbase + i
-            e_vertex[tslot] = children[first + i]
-            e_child_index[tslot] = first + i
-            e_token[tslot] = -1
-            ring[tslot] = tslot
-        ring_head[target] = 0
-        ring_len[target] = cnt
-        ctl[0] += cnt  # CTL_READY
-        b_active[target] = cnt
-        out[0] = target
-        out[1] = cnt
-        return 0  # DONE_SPAWNED
-    if parent_unexplored > 0:
-        # Extend: the entry (and its address token) explores the
-        # parent's next unexplored candidate.
-        e_vertex[slot] = ext_vertex
-        e_child_index[slot] = ext_position
-        ring[b * cap + (ring_head[b] + ring_len[b]) % cap] = slot
-        ring_len[b] += 1
-        ctl[0] += 1
-        return 2  # DONE_EXTENDED
-    tok = e_token[slot]
-    if tok >= 0:
-        depth = b_depth[b]
-        n_free = tok_n[depth]
-        tok_free[depth * tokens_per_depth + n_free] = tok
-        tok_n[depth] = n_free + 1
-        e_token[slot] = -1
-    b_active[b] -= 1
-    if b_active[b] < 0:
-        return 5  # DONE_UNDERFLOW
-    if b_active[b] == 0:
-        return 4  # DONE_RECYCLE
-    return 3  # DONE_IDLED

@@ -1,6 +1,7 @@
 """C-extension kernel backend (cffi, no setuptools).
 
-The kernels are mirror images of :mod:`._loops`, written in C below and
+The kernels mirror the loop bodies of :mod:`._loops` and the pure
+backend's task-tree ops (:func:`.pure.tree_bind`), written in C below and
 compiled on demand with the system C compiler into a shared object
 cached under ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``)
 keyed by a hash of the source and compiler, so every process after the
@@ -498,13 +499,13 @@ int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
     return 0;
 }
 
-/* Task-tree scheduler kernels: C mirrors of tree_select_loop /
- * tree_fill_loop / tree_complete_loop in _loops.py, statement for
- * statement.  One struct per task tree holds the pinned pointers into
- * the tree's struct-of-arrays numpy state plus its layout scalars, so
- * a scheduler call marshals only the per-call scalars.  The ctl word
- * indices and DONE_* return codes are the module constants of
- * repro.core.task_tree.
+/* Task-tree ops: C mirrors of the pure backend's interpreted tree ops
+ * (tree_bind in pure.py), statement for statement; the task-tree parity
+ * suite proves the two bit-identical on whole runs.  One struct per
+ * task tree holds the pinned pointers into the tree's struct-of-arrays
+ * numpy state plus its layout scalars, so an op call marshals only the
+ * per-call scalars.  The ctl word indices and DONE_* return codes are
+ * the module constants of repro.core.task_tree.
  */
 typedef struct {
     int64_t *b_depth;
@@ -1058,14 +1059,6 @@ class _CLib:
         self._lib.repro_ema_fold(state, window.alpha, latency, n)
         window.value = state[0]
         window.total_latency = state[1]
-
-    def ema_fold_loop(self, state, alpha, latency, n):
-        self._lib.repro_ema_fold(
-            self._ffi.from_buffer("double *", state, require_writable=True),
-            alpha,
-            latency,
-            n,
-        )
 
     def macro_bind(self, accel, spans, result):
         """Per-PE macro-step bindings: ``repro_core_t`` structs with

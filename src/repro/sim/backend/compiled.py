@@ -1,11 +1,11 @@
-"""Shared glue for compiled kernel backends (numba and the C extension).
+"""Object-level glue for the compiled kernel backend (the C extension).
 
-Both compiled backends expose the same low-level surface — loop kernels
-taking flat ``int64``/``float64`` numpy buffers (``intersect_loop``,
-``subtract_loop``, ``resident_stamp_loop``, ``ema_fold_loop``, the
-signatures of :mod:`._loops`) — so the object-level adaptation lives
-here once: operand normalization, output allocation, and the
-``Cache``/``PELatencyWindow`` state handshakes.
+The C extension exposes loop kernels taking flat ``int64``/``float64``
+numpy buffers (``intersect_loop``, ``subtract_loop``,
+``resident_stamp_loop``, the signatures of :mod:`._loops`) plus a
+persistent-state EMA fold; the object-level adaptation lives here: operand
+normalization, output allocation, and the ``Cache``/``PELatencyWindow``
+state handshakes.
 
 The adapters preserve the pure backend's exact observable behavior:
 identical result arrays (sorted unique ``int64``; the shared ``EMPTY``
@@ -43,10 +43,8 @@ class KernelSet:
     """
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
-                 span_resident_stamp, ema_fold,
-                 task_fastpath=None, macro_bind=None,
-                 tree_select=None, tree_fill=None, tree_complete=None,
-                 tree_bind=None):
+                 span_resident_stamp, ema_fold, tree_bind,
+                 task_fastpath=None, macro_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
@@ -54,26 +52,21 @@ class KernelSet:
         self.intersect_multi = intersect_multi
         self.span_resident_stamp = span_resident_stamp
         self.ema_fold = ema_fold
+        #: Task-tree binder ``(state) -> ops`` whose ``select``/``fill``/
+        #: ``complete`` take every ``TaskTree`` decision over one
+        #: ``TaskTreeState`` (interpreted closures for pure; the C
+        #: extension pre-marshals the tree's array pointers into one
+        #: struct).
+        self.tree_bind = tree_bind
         #: Macro-step fast-path loop with the :func:`._loops
-        #: .task_fastpath_loop` signature (interpreted for pure, jitted
-        #: for numba); ``None`` when the backend binds at a lower level.
+        #: .task_fastpath_loop` signature (the interpreted reference for
+        #: pure); ``None`` when the backend binds at a lower level.
         self.task_fastpath = task_fastpath
         #: Backend-native per-PE binder ``(accel, spans, result) ->
         #: [book, ...]`` (the C extension pre-marshals pointers into
         #: per-PE structs); ``None`` to bind ``task_fastpath`` through
         #: the generic numpy-view binder in :mod:`.macro`.
         self.macro_bind = macro_bind
-        #: Task-tree scheduler kernels with the ``tree_*_loop``
-        #: signatures of :mod:`._loops` (``TaskTree._bind_kernels``
-        #: closes them over one tree's struct-of-arrays state).
-        self.tree_select = tree_select
-        self.tree_fill = tree_fill
-        self.tree_complete = tree_complete
-        #: Backend-native tree binder ``(state) -> ops`` returning an
-        #: object with ``select``/``fill``/``complete`` (the C extension
-        #: pre-marshals the tree's array pointers into one struct);
-        #: ``None`` to close the loop kernels over numpy views.
-        self.tree_bind = tree_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.
     KERNELS = (
@@ -95,8 +88,7 @@ def make_kernel_set(name: str, lib) -> KernelSet:
     lib_subtract = lib.subtract_loop
     lib_multi = lib.intersect_multi_loop
     lib_resident = lib.resident_stamp_loop
-    lib_ema = lib.ema_fold_loop
-    lib_ema_window = getattr(lib, "ema_fold_window", None)
+    lib_ema_window = lib.ema_fold_window
     empty = np.empty
 
     # Reusable result buffers: the loop kernels write into these and the
@@ -162,15 +154,9 @@ def make_kernel_set(name: str, lib) -> KernelSet:
         return False
 
     def ema_fold(window, latency, n, scratch=None):
-        if n >= 8 and lib_ema_window is not None:
+        if n >= 8:
             # Adapter-owned state handshake (persistent C-side buffer).
             lib_ema_window(window, latency, n)
-        elif n >= 8 and scratch is not None:
-            scratch[0] = window.value
-            scratch[1] = window.total_latency
-            lib_ema(scratch, window.alpha, latency, n)
-            window.value = float(scratch[0])
-            window.total_latency = float(scratch[1])
         else:
             # Tiny folds: the call/handshake overhead outweighs the loop.
             alpha = window.alpha
@@ -185,11 +171,6 @@ def make_kernel_set(name: str, lib) -> KernelSet:
 
     return KernelSet(
         name, True, intersect, subtract, intersect_multi,
-        span_resident_stamp, ema_fold,
-        task_fastpath=getattr(lib, "task_fastpath_loop", None),
-        macro_bind=getattr(lib, "macro_bind", None),
-        tree_select=getattr(lib, "tree_select_loop", None),
-        tree_fill=getattr(lib, "tree_fill_loop", None),
-        tree_complete=getattr(lib, "tree_complete_loop", None),
-        tree_bind=getattr(lib, "tree_bind", None),
+        span_resident_stamp, ema_fold, lib.tree_bind,
+        macro_bind=lib.macro_bind,
     )

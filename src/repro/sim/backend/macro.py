@@ -4,8 +4,7 @@ The per-event path books a task stage by stage through Python
 (``PE._book_task``: decode → dispatch → vertex fetch → span fetches →
 issue → IU service → writeback → spawn).  The macro-step core collapses
 all of it into **one** call into the active backend's fast-path loop
-(:func:`._loops.task_fastpath_loop`, its numba jit, or the C mirror in
-:mod:`.cext`), so the simulator returns to Python once per task instead
+(:func:`._loops.task_fastpath_loop`, or its C mirror in :mod:`.cext`), so the simulator returns to Python once per task instead
 of once per stage.
 
 Escape protocol
@@ -201,8 +200,8 @@ def _bind_loop(accel, spans, result, loop) -> List[Callable]:
 
     Builds one closure per PE with every array view and config scalar
     pre-bound, so a fast-path call marshals only the 10 per-task
-    scalars.  Used for the interpreted reference loop (pure backend)
-    and the numba jit; the C extension binds at a lower level
+    scalars.  Used for the interpreted reference loop (pure backend);
+    the C extension binds at a lower level
     (:func:`.cext._CLib.macro_bind`).
     """
     memory = accel.memory

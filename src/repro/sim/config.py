@@ -96,8 +96,8 @@ class SimConfig:
 
     # --- misc ---------------------------------------------------------------
     max_cycles: int = 2_000_000_000     # runaway guard
-    #: Kernel backend for the simulator hot path: "auto", "pure",
-    #: "numba" or "cext".  None defers to ``REPRO_BACKEND`` / auto
+    #: Kernel backend for the simulator hot path: "auto", "pure" or
+    #: "cext".  None defers to ``REPRO_BACKEND`` / auto
     #: selection; an unavailable backend falls back gracefully (see
     #: ``repro.sim.backend``).  All backends produce byte-identical
     #: metrics, so this is a speed knob, not a model knob.
@@ -111,15 +111,6 @@ class SimConfig:
     #: per-event path.  All settings produce byte-identical metrics, so
     #: like ``backend`` this is a speed knob, not a model knob.
     macro_step: Optional[bool] = None
-    #: Task-tree scheduler kernels: run the hot tree decisions
-    #: (``tree_select``/``tree_fill``/``tree_complete``) as compiled
-    #: backend calls over the tree's struct-of-arrays state.  None =
-    #: auto (on exactly when the active kernel backend is compiled);
-    #: True forces them on even under the pure backend (the interpreted
-    #: reference loops — slower, used by the differential suite); False
-    #: pins the interpreted object path.  All settings produce
-    #: byte-identical metrics: a speed knob, not a model knob.
-    tree_kernels: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:
@@ -148,16 +139,13 @@ class SimConfig:
         if self.backend is not None and self.backend not in (
             "auto",
             "pure",
-            "numba",
             "cext",
         ):
             raise ConfigError(
-                "backend must be one of None, 'auto', 'pure', 'numba', 'cext'"
+                "backend must be one of None, 'auto', 'pure', 'cext'"
             )
         if self.macro_step not in (None, True, False):
             raise ConfigError("macro_step must be None, True or False")
-        if self.tree_kernels not in (None, True, False):
-            raise ConfigError("tree_kernels must be None, True or False")
 
     # ------------------------------------------------------------------
     def replace(self, **changes) -> "SimConfig":

@@ -76,10 +76,6 @@ def _config_dict(config: SimConfig) -> Dict[str, object]:
     # booking is bit-identical by construction (the macro parity suite
     # enforces it), so the setting is not part of the pinned model.
     out.pop("macro_step", None)
-    # And for the task-tree kernel toggle: compiled vs. interpreted
-    # scheduler decisions are bit-identical by construction (the SoA
-    # differential suite enforces it).
-    out.pop("tree_kernels", None)
     return out
 
 

@@ -28,8 +28,11 @@ Checked laws (violation ``code`` in parentheses; the catalogue lives in
 * cache accounting: L1 accesses equal intermediate line fetches, L2
   accesses equal graph line fetches plus L1 misses, latency-window
   samples equal windowed lines (``cache-accounting``);
-* token counts never go negative and acquires − releases always equal
-  the pool's held count, draining to zero at the end
+* each depth's task-tree token book reconciles at every observed start
+  and completion and at the end: the free count stays within
+  ``[0, T]``, the free stack holds distinct tokens, the ``T - free``
+  held tokens are exactly the distinct tokens in-use entries carry
+  (none of them free), and every token is free once the run drained
   (``token-accounting``);
 * NoC send/receive conservation: messages sent = partition sends =
   partition receipts (``noc-conservation``);
@@ -45,10 +48,11 @@ assert exactly that law fires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import SimTask
+    from ..core.task_tree import TaskTree
     from ..sim.accelerator import Accelerator
     from ..sim.metrics import RunMetrics
 
@@ -106,9 +110,8 @@ class InvariantChecker:
         self.windowed_lines = 0
         self.graph_lines = 0
 
-        # NoC and tokens.
+        # NoC.
         self.noc_sends = 0
-        self._pool_books: Dict[int, Dict[str, object]] = {}
 
         self._last_now = accel.engine.now
 
@@ -140,6 +143,7 @@ class InvariantChecker:
         original_start = pe._start_task
         original_complete = pe._complete_task
         width = pe.config.execution_width
+        tree = getattr(pe.policy, "tree", None)
 
         def start_task(task: "SimTask"):
             self._observe_time()
@@ -151,6 +155,8 @@ class InvariantChecker:
                     f"pe{pe.pe_id} slots_used={pe.slots_used} "
                     f"outside [0, {width}] after task start",
                 )
+            if tree is not None:
+                self._check_tokens(pe.pe_id, tree)
             return result
 
         def complete_task(task: "SimTask"):
@@ -170,6 +176,8 @@ class InvariantChecker:
                     f"pe{pe.pe_id} slots_used={pe.slots_used} negative "
                     "after task completion",
                 )
+            if tree is not None:
+                self._check_tokens(pe.pe_id, tree)
             return result
 
         pe._start_task = start_task
@@ -206,9 +214,6 @@ class InvariantChecker:
                 return original_done(tree_id)
 
             tree.on_tree_done = on_tree_done
-        if tree is not None and hasattr(tree, "tokens"):
-            for depth, pool in tree.tokens.items():
-                self._wrap_pool(policy.pe.pe_id, depth, pool)
 
         if hasattr(policy, "receive_partition"):
             original_receive = policy.receive_partition
@@ -220,44 +225,63 @@ class InvariantChecker:
 
             policy.receive_partition = receive_partition
 
-    def _wrap_pool(self, pe_id: int, depth: int, pool) -> None:
-        book = {"acquires": 0, "releases": 0, "pool": pool,
-                "label": f"pe{pe_id}/depth{depth}"}
-        self._pool_books[id(pool)] = book
-        original_acquire = pool.acquire
-        original_release = pool.release
+    def _check_tokens(
+        self, pe_id: int, tree: "TaskTree", *, drained: bool = False
+    ) -> None:
+        """Reconcile one task tree's SoA token book (``token-accounting``).
 
-        def acquire():
-            token = original_acquire()
-            if token is not None:
-                book["acquires"] += 1
-                self._check_pool(book)
-            return token
-
-        def release(token: int):
-            result = original_release(token)
-            book["releases"] += 1
-            self._check_pool(book)
-            return result
-
-        pool.acquire = acquire
-        pool.release = release
-
-    def _check_pool(self, book: Dict[str, object]) -> None:
-        pool = book["pool"]
-        outstanding = book["acquires"] - book["releases"]
-        if outstanding < 0:
-            self._violate(
-                "token-accounting",
-                f"token pool {book['label']}: releases exceed acquires "
-                f"({book['releases']} > {book['acquires']})",
-            )
-        elif pool.held != outstanding or pool.available < 0:
-            self._violate(
-                "token-accounting",
-                f"token pool {book['label']}: held={pool.held} "
-                f"available={pool.available} but acquires-releases={outstanding}",
-            )
+        For each non-leaf depth with ``T`` tokens: the free count lies in
+        ``[0, T]``, the free stack holds distinct tokens, and the
+        ``T - free`` held ones are exactly the ``e_token >= 0`` values
+        of that depth's in-use bunches — distinct, and disjoint from the
+        free stack.  ``drained`` (end of run) also requires every token
+        back on its stack.
+        """
+        s = tree.state
+        total = s.tokens_per_depth
+        cap = s.cap
+        tok_n = s.tok_n.tolist()
+        tok_free = s.tok_free.tolist()
+        e_token = s.e_token.tolist()
+        in_use = s.b_in_use.tolist()
+        for depth in range(tree.max_depth):
+            label = f"token pool pe{pe_id}/depth{depth}"
+            n_free = tok_n[depth]
+            if not 0 <= n_free <= total:
+                self._violate(
+                    "token-accounting",
+                    f"{label}: free count {n_free} outside [0, {total}]",
+                )
+                continue
+            free = tok_free[depth * total:depth * total + n_free]
+            held = [
+                token
+                for b in range(int(s.d_start[depth]), int(s.d_end[depth]))
+                if in_use[b]
+                for token in e_token[b * cap:(b + 1) * cap]
+                if token >= 0
+            ]
+            if len(set(free)) != n_free:
+                self._violate(
+                    "token-accounting",
+                    f"{label}: free stack {free} repeats a token",
+                )
+            if (
+                len(held) != total - n_free
+                or len(set(held)) != len(held)
+                or not set(held).isdisjoint(free)
+            ):
+                self._violate(
+                    "token-accounting",
+                    f"{label}: {total - n_free} token(s) held but in-use "
+                    f"entries carry {sorted(held)} (free stack {free})",
+                )
+            if drained and n_free != total:
+                self._violate(
+                    "token-accounting",
+                    f"{label} still holds {total - n_free} token(s) after "
+                    "the run drained",
+                )
 
     def _wrap_memory(self) -> None:
         memory = self.accel.memory
@@ -437,15 +461,10 @@ class InvariantChecker:
                 f"intermediate lines={self.windowed_lines}",
             )
 
-        for book in self._pool_books.values():
-            self._check_pool(book)
-            pool = book["pool"]
-            if pool.held != 0:
-                self._violate(
-                    "token-accounting",
-                    f"token pool {book['label']} still holds {pool.held} "
-                    "token(s) after the run drained",
-                )
+        for pe in accel.pes:
+            tree = getattr(pe.policy, "tree", None)
+            if tree is not None:
+                self._check_tokens(pe.pe_id, tree, drained=True)
 
         if not (self.noc_sends == memory.noc.messages):
             self._violate(

@@ -7,6 +7,8 @@ across backends lives in ``tests/test_backend_parity.py``.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestSelection:
         with pytest.warns(RuntimeWarning, match="fortran"):
             assert backend.resolve_name(None) == "auto"
 
+    def test_numba_env_warns_once_and_uses_auto(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        backend._warned.clear()
+        with pytest.warns(RuntimeWarning, match="numba"):
+            assert backend.resolve_name(None) == "auto"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert backend.resolve_name(None) == "auto"
+
     def test_activate_pure_installs_pure(self):
         kernels = backend.activate("pure")
         assert kernels.name == "pure"
@@ -79,7 +90,7 @@ class TestSelection:
         backend._warned.clear()
         with pytest.warns(RuntimeWarning, match="cext"):
             kernels = backend.activate("cext")
-        assert kernels.name in ("numba", "pure")
+        assert kernels.name == "pure"
 
     def test_pure_always_available(self):
         availability = backend.available_backends()
@@ -116,9 +127,13 @@ class TestConfigKnob:
     def test_default_is_none(self):
         assert SimConfig().backend is None
 
-    @pytest.mark.parametrize("name", ["auto", "pure", "numba", "cext"])
+    @pytest.mark.parametrize("name", ["auto", "pure", "cext"])
     def test_valid_names_accepted(self, name):
         assert SimConfig(backend=name).backend == name
+
+    def test_numba_rejected(self):
+        with pytest.raises(ConfigError, match="backend"):
+            SimConfig(backend="numba")
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ConfigError, match="backend"):

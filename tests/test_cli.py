@@ -63,11 +63,13 @@ class TestCommands:
              "--width", "4"]
         ) == 0
 
-    def test_profile(self, tmp_path, capsys):
+    def test_profile(self, tmp_path, capsys, monkeypatch):
+        # --backend exports REPRO_BACKEND; monkeypatch restores it.
+        monkeypatch.setenv("REPRO_BACKEND", "pure")
         out_json = tmp_path / "prof.json"
         assert main(
             ["profile", "--dataset", "wi", "--scale", "0.1", "--pattern", "tc",
-             "--top", "5", "--json", str(out_json)]
+             "--top", "5", "--json", str(out_json), "--backend", "pure"]
         ) == 0
         out = capsys.readouterr().out
         assert "cumulative" in out and "instrumented wall" in out
@@ -79,6 +81,7 @@ class TestCommands:
         top = payload["hotspots"][0]
         assert {"function", "file", "line", "ncalls", "tottime_s", "cumtime_s"} <= set(top)
         assert payload["matches"] > 0
+        assert payload["scheduler"]["ops"]["select"] > 0
 
     def test_profile_tottime_sort(self, capsys):
         assert main(

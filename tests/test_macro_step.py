@@ -32,11 +32,9 @@ from repro.sim.trace import TraceRecorder
 from repro.validate.oracle import ORACLE_POLICIES
 
 #: Backends that actually built on this machine (pure is always first).
-AVAILABLE = ["pure"] + [
-    name
-    for name in ("numba", "cext")
-    if backend.available_backends()[name][0]
-]
+AVAILABLE = ["pure"] + (
+    ["cext"] if backend.available_backends()["cext"][0] else []
+)
 
 SCALE = 0.2
 PATTERNS = ("tc", "4cl")

@@ -199,6 +199,7 @@ class TestPartitions:
         assert chain[1].state == TaskState.RESTING
         assert tree.ready_count() == 2  # the two shipped candidates
         assert tree.has_work()
+        assert tree.op_calls["fill_kernel"] > 0  # the list went through the op
 
     def test_partition_interior_has_single_child(self, k5):
         _, pe, tree = make_tree(k5)

@@ -1,53 +1,63 @@
-"""Task-tree SoA kernels: differential parity and escape correctness.
+"""Task-tree ops: one scheduler path, held to two references.
 
-The struct-of-arrays task tree (``core/task_tree.py``) routes its hot
-decisions — ``tree_select``/``tree_fill``/``tree_complete`` — through
-the backend kernel set when one is bound.  Like the macro-step core,
-the kernels must be *bit-identical* to the interpreted object path:
-every accounted metric, including the scheduler's own stall/wait
-counters, feeds ``repro validate`` and the golden registry.  Layers:
+Every task-tree decision — select, fill, complete — runs through the
+ops the active kernel backend binds over the tree's struct-of-arrays
+state (``kernels.tree_bind``): the pure backend's interpreted closures,
+or the C extension's ``repro_tree_t`` binder that mirrors them
+statement for statement.  Every accounted metric, the scheduler's own
+stall/wait counters included, feeds ``repro validate`` and the golden
+registry, so the ops answer to two references:
 
-* **Kernel parity** — whole simulations, all five policies × both
-  golden patterns, ``tree_kernels=True`` (interpreted reference loops
-  under pure, plus every compiled backend that built) vs the pinned
-  object path: identical ``RunMetrics`` dicts.
-* **Routing attribution** — the ``op_calls``/``op_escapes`` counters
-  must reflect where decisions actually ran: kernels when forced,
-  object path when pinned off or instrumented.
-* **Instrumented fallback** — a ``TraceRecorder`` must push every
-  decision down the object path (hooks keep firing) while changing no
-  accounted metric.
-* **Edge cells** — token exhaustion, pinned conservative mode, the
-  macro-drain × tree-kernel composition with random escapes, and
-  hypothesis-driven random tree geometries.
+* **Backend parity** — whole simulations under the C ops and the pure
+  ops give identical ``RunMetrics``: all five policies × {tc, 4cl},
+  token exhaustion, pinned conservative mode and hypothesis-random tree
+  geometries.
+* **Golden cells** — the pinned shogun snapshots hold under each
+  backend's ops, with the ops taking every decision.
+
+The macro-step core composes with the ops (random escapes included),
+and instrumentation observes them instead of rerouting them: a
+``TraceRecorder``-attached run keeps the ops and its metrics.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import task_tree
+from repro.experiments import eval_config
 from repro.graph import load_dataset
 from repro.patterns import benchmark_schedule
 from repro.sim import SimConfig, backend, simulate
 from repro.sim.accelerator import Accelerator
 from repro.sim.trace import TraceRecorder
+from repro.validate.golden import (
+    GOLDEN_SCALE,
+    diff_values,
+    load_snapshot,
+    snapshot_path,
+)
 from repro.validate.oracle import ORACLE_POLICIES
 
-#: Backends that actually built on this machine (pure is always first).
-AVAILABLE = ["pure"] + [
-    name
-    for name in ("numba", "cext")
-    if backend.available_backends()[name][0]
-]
+#: Backends whose tree ops run here: pure always, cext when it built.
+BACKENDS = ["pure"] + (
+    ["cext"] if backend.available_backends()["cext"][0] else []
+)
+
+#: The parity cells compare the C ops against the pure ones.
+needs_cext = pytest.mark.skipif(
+    "cext" not in BACKENDS, reason="the cext backend did not build here"
+)
 
 SCALE = 0.2
 PATTERNS = ("tc", "4cl")
+OPS = ("select", "fill", "complete")
 
 #: Per-event booking keeps the macro core out of the comparison; the
-#: macro × tree-kernel composition gets its own cell below.
+#: macro × tree-op composition gets its own cell below.
 CONFIG = SimConfig(backend="pure", macro_step=False)
 
 
@@ -68,203 +78,120 @@ def schedules():
     return {p: benchmark_schedule(p) for p in PATTERNS}
 
 
-@pytest.fixture(scope="module")
-def object_metrics(graph, schedules):
-    """Object-path reference metrics for every (pattern, policy) cell."""
-    ref = {}
-    for pattern in PATTERNS:
-        for policy in ORACLE_POLICIES:
-            metrics = simulate(
-                graph,
-                schedules[pattern],
-                policy=policy,
-                config=CONFIG.replace(tree_kernels=False),
-            )
-            ref[pattern, policy] = metrics.to_dict()
-    return ref
+def _op_calls(accel, op):
+    """Calls of one tree op, summed over the PEs' task trees."""
+    return sum(
+        pe.policy.tree.op_calls[f"{op}_kernel"]
+        for pe in accel.pes
+        if hasattr(pe.policy, "tree")
+    )
 
 
-def _trees(accel):
-    return [
-        pe.policy.tree for pe in accel.pes if hasattr(pe.policy, "tree")
-    ]
-
-
-def _sum_counter(accel, counter, key):
-    return sum(getattr(t, counter)[key] for t in _trees(accel))
+def _parity(graph, schedule, config, policy="shogun"):
+    """Run one cell under the pure and the C ops; metrics must match."""
+    pure = simulate(graph, schedule, policy=policy, config=config)
+    cext = simulate(
+        graph, schedule, policy=policy, config=config.replace(backend="cext")
+    )
+    assert cext.to_dict() == pure.to_dict(), (
+        f"cext tree ops diverged from the pure ops on {policy}"
+    )
+    return pure
 
 
 class TestKernelParity:
-    """Kernels vs object path: byte-identical metrics on every cell."""
+    """C ops vs the pure backend's interpreted ops, every cell."""
 
+    @needs_cext
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("policy", ORACLE_POLICIES)
-    def test_kernels_match_object_path(
-        self, graph, schedules, object_metrics, pattern, policy
-    ):
-        for name in AVAILABLE:
-            accel = Accelerator(
-                graph,
-                schedules[pattern],
-                CONFIG.replace(backend=name, tree_kernels=True),
-                policy=policy,
-            )
+    def test_kernels_match_object_path(self, graph, schedules, pattern, policy):
+        _parity(graph, schedules[pattern], CONFIG, policy)
+
+
+class TestGoldenCells:
+    """The pinned shogun snapshots hold under every backend's ops."""
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_golden_cell(self, name, pattern):
+        accel = Accelerator(
+            load_dataset("wi", scale=GOLDEN_SCALE),
+            benchmark_schedule(pattern),
+            eval_config().replace(backend=name),
+            "shogun",
+        )
+        metrics = accel.run()
+        golden = load_snapshot(
+            snapshot_path("wi", pattern, "shogun", GOLDEN_SCALE)
+        )
+        assert diff_values(golden["metrics"], metrics.to_dict()) == []
+        for op in OPS:
+            assert _op_calls(accel, op) > 0, f"{name}: {op} op never ran"
+
+
+class TestInstrumentedRuns:
+    """Instrumentation observes the ops instead of rerouting them."""
+
+    def test_trace_recorder_keeps_the_ops(self, graph, schedules):
+        for name in BACKENDS:
+            config = CONFIG.replace(backend=name)
+            plain = simulate(graph, schedules["tc"], policy="shogun", config=config)
+            accel = Accelerator(graph, schedules["tc"], config, policy="shogun")
+            recorder = TraceRecorder.attach(accel)
             metrics = accel.run()
-            assert metrics.to_dict() == object_metrics[pattern, policy], (
-                f"backend {name} tree kernels diverged on {pattern}/{policy}"
-            )
-            if policy == "shogun":
-                # The decisions really ran in the kernels.
-                for op in ("select", "fill", "complete"):
-                    assert _sum_counter(accel, "op_calls", f"{op}_kernel") > 0, (
-                        f"backend {name}: {op} never took the kernel path"
-                    )
-                assert _sum_counter(accel, "op_escapes", "pinned_off") == 0
-
-    def test_auto_resolution(self, graph, schedules):
-        """auto = bound exactly when the active backend is compiled;
-        False pins the object path even there."""
-        accel = Accelerator(graph, schedules["tc"], CONFIG, policy="shogun")
-        assert all(t._kernel_ops is None for t in _trees(accel))
-        compiled = [n for n in AVAILABLE if n != "pure"]
-        if compiled:
-            accel = Accelerator(
-                graph,
-                schedules["tc"],
-                CONFIG.replace(backend=compiled[0]),
-                policy="shogun",
-            )
-            assert all(t._kernel_ops is not None for t in _trees(accel))
-            accel = Accelerator(
-                graph,
-                schedules["tc"],
-                CONFIG.replace(backend=compiled[0], tree_kernels=False),
-                policy="shogun",
-            )
-            assert all(t._kernel_ops is None for t in _trees(accel))
-
-    def test_pinned_off_routes_object(self, graph, schedules, object_metrics):
-        accel = Accelerator(
-            graph,
-            schedules["tc"],
-            CONFIG.replace(tree_kernels=False),
-            policy="shogun",
-        )
-        metrics = accel.run()
-        assert metrics.to_dict() == object_metrics["tc", "shogun"]
-        for op in ("select", "fill", "complete"):
-            assert _sum_counter(accel, "op_calls", f"{op}_kernel") == 0
-            assert _sum_counter(accel, "op_calls", f"{op}_object") > 0
-        assert _sum_counter(accel, "op_escapes", "pinned_off") > 0
-
-
-class TestInstrumentedFallback:
-    """Trace hooks pin the object path per call, metrics intact."""
-
-    def test_trace_recorder_forces_object_path(
-        self, graph, schedules, object_metrics
-    ):
-        accel = Accelerator(
-            graph,
-            schedules["tc"],
-            CONFIG.replace(tree_kernels=True),
-            policy="shogun",
-        )
-        recorder = TraceRecorder.attach(accel)
-        metrics = accel.run()
-        assert metrics.to_dict() == object_metrics["tc", "shogun"]
-        # Kernels were bound but every call escaped to the object path.
-        assert all(t._kernel_ops is not None for t in _trees(accel))
-        for op in ("select", "fill", "complete"):
-            assert _sum_counter(accel, "op_calls", f"{op}_kernel") == 0
-        assert _sum_counter(accel, "op_escapes", "instrumented") > 0
-        assert recorder.spans  # the hooks really observed the tasks
-
-    def test_debug_cross_check_passes(
-        self, graph, schedules, object_metrics, monkeypatch
-    ):
-        """REPRO_TREE_DEBUG cross-checks SoA counters vs the object view
-        on every ready_count() read — kernels on, whole run clean."""
-        monkeypatch.setattr(task_tree, "_DEBUG_CHECK", True)
-        metrics = simulate(
-            graph,
-            schedules["tc"],
-            policy="shogun",
-            config=CONFIG.replace(tree_kernels=True),
-        )
-        assert metrics.to_dict() == object_metrics["tc", "shogun"]
+            assert metrics.to_dict() == plain.to_dict()
+            for op in OPS:
+                assert _op_calls(accel, op) > 0, f"{name}: {op} op never ran"
+            assert recorder.spans  # the hooks really observed the tasks
 
 
 class TestEdgeCells:
     """Token exhaustion, pinned conservative mode, macro composition."""
 
+    @needs_cext
     def test_token_exhaustion_parity(self, graph, schedules):
-        starved = CONFIG.replace(tokens_per_depth=1)
-        ref = simulate(
-            graph,
-            schedules["tc"],
-            policy="shogun",
-            config=starved.replace(tree_kernels=False),
+        metrics = _parity(
+            graph, schedules["tc"], CONFIG.replace(tokens_per_depth=1)
         )
-        assert sum(pm.token_stalls for pm in ref.per_pe) > 0  # really starves
-        for name in AVAILABLE:
-            metrics = simulate(
-                graph,
-                schedules["tc"],
-                policy="shogun",
-                config=starved.replace(backend=name, tree_kernels=True),
-            )
-            assert metrics.to_dict() == ref.to_dict(), (
-                f"backend {name} diverged under token exhaustion"
-            )
+        assert sum(pm.token_stalls for pm in metrics.per_pe) > 0  # really starves
 
+    @needs_cext
     @pytest.mark.parametrize("conservative", (True, False))
     def test_pinned_conservative_parity(self, graph, schedules, conservative):
-        pinned = CONFIG.replace(conservative_override=conservative)
-        ref = simulate(
+        _parity(
             graph,
             schedules["4cl"],
-            policy="shogun",
-            config=pinned.replace(tree_kernels=False),
+            CONFIG.replace(conservative_override=conservative),
         )
-        for name in AVAILABLE:
-            metrics = simulate(
-                graph,
-                schedules["4cl"],
-                policy="shogun",
-                config=pinned.replace(backend=name, tree_kernels=True),
-            )
-            assert metrics.to_dict() == ref.to_dict(), (
-                f"backend {name} diverged with conservative={conservative}"
-            )
 
-    def test_macro_drain_composition(self, graph, schedules, object_metrics):
-        """Macro-step booking + batch dispatch + tree kernels together
-        (the production fast path) still match the all-object reference,
-        with random macro escapes mixed in."""
-        import random
-
+    def test_macro_drain_composition(self, graph, schedules):
+        """Macro-step booking + batch dispatch + tree ops together (the
+        production fast path) match per-event booking, with random
+        macro escapes mixed in."""
+        ref = simulate(
+            graph, schedules["4cl"], policy="shogun", config=CONFIG
+        ).to_dict()
         rng = random.Random(0xC0FFEE)
-        for name in AVAILABLE:
+        for name in BACKENDS:
             accel = Accelerator(
                 graph,
                 schedules["4cl"],
-                CONFIG.replace(
-                    backend=name, macro_step=True, tree_kernels=True
-                ),
+                CONFIG.replace(backend=name, macro_step=True),
                 policy="shogun",
             )
             accel.macro.fault_hook = lambda pe, task: rng.random() < 0.3
             metrics = accel.run()
             assert accel.macro.counters["injected"] > 0
-            assert metrics.to_dict() == object_metrics["4cl", "shogun"], (
-                f"backend {name} macro+tree-kernel composition diverged"
+            assert metrics.to_dict() == ref, (
+                f"backend {name} macro + tree-op composition diverged"
             )
 
 
 class TestRandomGeometries:
     """Random tree shapes: parity must hold for any legal geometry."""
 
+    @needs_cext
     @settings(max_examples=8, deadline=None)
     @given(
         bunches=st.integers(min_value=1, max_value=4),
@@ -275,26 +202,13 @@ class TestRandomGeometries:
     def test_random_geometry_parity(
         self, graph, schedules, bunches, entries, tokens, conservative
     ):
-        cell = CONFIG.replace(
-            bunches_per_depth=bunches,
-            bunch_entries=entries,
-            tokens_per_depth=tokens,
-            conservative_override=conservative,
-        )
-        ref = simulate(
+        _parity(
             graph,
             schedules["tc"],
-            policy="shogun",
-            config=cell.replace(tree_kernels=False),
+            CONFIG.replace(
+                bunches_per_depth=bunches,
+                bunch_entries=entries,
+                tokens_per_depth=tokens,
+                conservative_override=conservative,
+            ),
         )
-        for name in AVAILABLE:
-            metrics = simulate(
-                graph,
-                schedules["tc"],
-                policy="shogun",
-                config=cell.replace(backend=name, tree_kernels=True),
-            )
-            assert metrics.to_dict() == ref.to_dict(), (
-                f"backend {name} diverged on geometry "
-                f"({bunches},{entries},{tokens},{conservative})"
-            )

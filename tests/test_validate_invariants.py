@@ -84,6 +84,16 @@ class TestCleanRuns:
             checked.to_dict(), sort_keys=True
         )
 
+    def test_checked_shogun_run_takes_the_ops(self, small_er, sched_4cl):
+        accel = Accelerator(small_er, sched_4cl, SimConfig(num_pes=2), "shogun")
+        checker = InvariantChecker.attach(accel)
+        checker.finalize(accel.run())
+        assert checker.ok, checker.report()
+        for op in ("select", "complete"):
+            assert sum(
+                pe.policy.tree.op_calls[f"{op}_kernel"] for pe in accel.pes
+            ) > 0
+
     def test_spawn_books_balance(self, medium_er, sched_4cl):
         _, checker = checked_simulate(
             medium_er, sched_4cl, config=SimConfig(num_pes=4)
@@ -154,6 +164,15 @@ class TestMutations:
             next(iter(pools.values()))._count[0] -= 1
 
         checker = run_mutated(*base, post_run=leak_token)
+        assert fired(checker) == {"token-accounting"}
+
+    def test_token_free_stack_duplicate(self, base):
+        def duplicate_free_token(accel, checker):
+            state = accel.pes[0].policy.tree.state
+            # Depth 0's free stack names one token twice.
+            state.tok_free[1] = state.tok_free[0]
+
+        checker = run_mutated(*base, post_run=duplicate_free_token)
         assert fired(checker) == {"token-accounting"}
 
     def test_pruning_conservation(self, base):
