@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = REPO_ROOT / "results"
+
+# The kernel benchmarks time fast paths against the test oracles in
+# ``tests/oracles.py``: keep the repository root importable from any
+# working directory.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 
 @pytest.fixture(scope="session")

@@ -48,9 +48,10 @@ from repro.mining import (
     intersect_reference,
 )
 from repro.patterns import benchmark_schedule
-from repro.sim import Cache, Engine, ReferenceCache, simulate
+from repro.sim import Accelerator, Cache, Engine, simulate
 from repro.sim import backend as kernel_backend
 from repro.sim.memory import PELatencyWindow
+from tests.oracles import legacy_drain, unbind_macro
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_kernels.json"
@@ -204,94 +205,6 @@ class TestKernelSetOps:
         _record_kernel(
             "as_sorted_array_ndarray_fast_path", vec, ref,
             f"{len(arrays)} already-sorted neighbor arrays vs list round-trip",
-        )
-
-
-class TestKernelCache:
-    def test_flat_cache_vs_reference_cache(self):
-        """The flattened numpy cache against the retained dict model, on
-        wide hit-dominated sweeps — the batched API's design point (the
-        simulator's L1 hit rates sit near 1.0; its tiny per-task batches
-        go through the sequential inlined probe instead)."""
-        rng = np.random.RandomState(7)
-        size_bytes, assoc, line = 32 * 1024, 4, 64
-        # 480 distinct lines cycling through a 512-line cache: ~97% hits
-        # with a steady trickle of capacity evictions.
-        batches = [
-            [int(a) for a in rng.choice(480, size=256, replace=False)]
-            for _ in range(64)
-        ]
-
-        def run_flat():
-            cache = Cache(size_bytes, assoc, line)
-            for batch in batches:
-                mask = cache.access_lines(batch)
-                cache.insert_lines(
-                    [addr for addr, hit in zip(batch, mask) if not hit]
-                )
-            return cache
-
-        def run_reference():
-            # Same function: probe the whole batch, then fill the misses
-            # (interleaving fills would change later probes' outcomes).
-            cache = ReferenceCache(size_bytes, assoc, line)
-            for batch in batches:
-                hits = [cache.lookup(addr) for addr in batch]
-                for addr, hit in zip(batch, hits):
-                    if not hit:
-                        cache.insert(addr)
-            return cache
-
-        flat, ref = run_flat(), run_reference()
-        assert (flat.hits, flat.misses, flat.evictions) == (
-            ref.hits, ref.misses, ref.evictions,
-        )
-        assert flat.hit_rate > 0.9  # the sweep really is hit-dominated
-        vec = _best_of(run_flat)
-        refw = _best_of(run_reference)
-        _record_kernel(
-            "cache_batched_access_lines", vec, refw,
-            f"{len(batches)} sweeps of 256 lines, 32KB/4-way, "
-            f"hit rate {flat.hit_rate:.3f}",
-        )
-
-    def test_span_access_vs_reference_cache(self):
-        """The span kernels (`access_span`/`insert_span`) against the dict
-        model's per-line loops, on contiguous hit-dominated sweeps — the
-        shape every neighbor/intermediate/output set has in the simulator."""
-        size_bytes, assoc, line = 32 * 1024, 4, 64
-        # Four 120-line spans cycling through a 512-line cache: the first
-        # pass fills, every later pass is a pure all-hit refresh.
-        spans = [(s, s + 119) for s in (0, 120, 240, 360)] * 16
-
-        def run_flat():
-            cache = Cache(size_bytes, assoc, line)
-            for first, last in spans:
-                mask = cache.access_span(first, last)
-                if not mask.all():
-                    cache.insert_span(first, last)
-            return cache
-
-        def run_reference():
-            cache = ReferenceCache(size_bytes, assoc, line)
-            for first, last in spans:
-                hits = [cache.lookup(a) for a in range(first, last + 1)]
-                if not all(hits):
-                    for a in range(first, last + 1):
-                        cache.insert(a)
-            return cache
-
-        flat, ref = run_flat(), run_reference()
-        assert (flat.hits, flat.misses, flat.evictions) == (
-            ref.hits, ref.misses, ref.evictions,
-        )
-        assert flat.hit_rate > 0.9
-        vec = _best_of(run_flat)
-        refw = _best_of(run_reference)
-        _record_kernel(
-            "cache_span_access", vec, refw,
-            f"{len(spans)} contiguous 120-line span sweeps, 32KB/4-way, "
-            f"hit rate {flat.hit_rate:.3f}",
         )
 
 
@@ -520,7 +433,8 @@ class TestKernelBackendCompiled:
         A policy-light 4-clique run (lj, plain BFS — scheduler time is
         not drain cost) under the compiled backend, once with the
         macro-step engine core draining whole task bookings in C and
-        once pinned to the per-event reference loop.  Metrics are
+        once on the same accelerator with the core unbound, so every
+        task books per-event (``tests/oracles.py``).  Metrics are
         asserted identical before timing — the macro core's acceptance
         bar is bit-identity, the speedup is only meaningful against an
         equivalent run.  Like the set-op operands above, this kernel
@@ -529,23 +443,19 @@ class TestKernelBackendCompiled:
         fetch/issue/writeback pipeline), and the reduced-scale stand-in
         truncates spans below the regime the core targets.  Recorded
         only when a compiled backend exists (this class skips
-        otherwise): the interpreted fast path is a parity oracle, not a
-        speedup, so a pure-leg record would just trip the 1.0x floor.
+        otherwise): the core is bound only under a compiled backend.
         """
         compiled, _ = kernel_sets
         graph = load_dataset("lj", scale=1.0)
         schedule = benchmark_schedule("4cl")
-        base = eval_config().replace(backend=compiled.name)
-        macro_config = base.replace(macro_step=True)
-        per_event_config = base.replace(macro_step=False)
+        config = eval_config().replace(backend=compiled.name)
 
         def run_macro():
-            return simulate(graph, schedule, policy="bfs",
-                            config=macro_config)
+            return simulate(graph, schedule, policy="bfs", config=config)
 
         def run_per_event():
-            return simulate(graph, schedule, policy="bfs",
-                            config=per_event_config)
+            accel = Accelerator(graph, schedule, config, "bfs")
+            return unbind_macro(accel).run()
 
         before = kernel_backend.active()
         try:
@@ -706,8 +616,9 @@ class TestKernelEngine:
                 at(ft, _noop)
 
     def test_coalesced_vs_legacy_drain_loop(self):
-        """The same-cycle coalescing drain loop vs the per-event legacy
-        loop (the ``max_events`` path).
+        """The same-cycle coalescing drain loop (``Engine.run``) vs the
+        per-event loop it replaced (``legacy_drain`` in
+        ``tests/oracles.py``, given an unreachable ``max_events``).
 
         Equivalence is asserted on a callback-heavy storm (events
         scheduling same-cycle events mid-drain), but the *timing* uses a
@@ -715,30 +626,35 @@ class TestKernelEngine:
         closures and ``after`` calls dominate the wall, diluting the
         drain-loop difference below measurement noise.
         """
-        def run_storm(max_events):
+        coalesced = Engine.run
+
+        def legacy(engine):
+            return legacy_drain(engine, 10_000_000)
+
+        def run_storm(drain):
             engine = Engine()
             self._storm(engine)
-            executed = engine.run(max_events=max_events)
+            executed = drain(engine)
             return executed, engine.now
 
-        assert run_storm(None) == run_storm(10_000_000)
+        assert run_storm(coalesced) == run_storm(legacy)
 
         proto = Engine()
         self._prefill(proto)
 
-        def run_drain(max_events):
+        def run_drain(drain):
             engine = Engine()
             # Copy the prefilled time heap and buckets so the (identical)
             # fill cost stays out of the timed drain.
             engine._times = proto._times.copy()
             engine._buckets = {t: list(b) for t, b in proto._buckets.items()}
             engine._pending = proto._pending
-            executed = engine.run(max_events=max_events)
+            executed = drain(engine)
             return executed, engine.now
 
-        assert run_drain(None) == run_drain(10_000_000)
-        vec = _best_of(lambda: run_drain(None))
-        ref = _best_of(lambda: run_drain(10_000_000))
+        assert run_drain(coalesced) == run_drain(legacy)
+        vec = _best_of(lambda: run_drain(coalesced))
+        ref = _best_of(lambda: run_drain(legacy))
         _record_kernel(
             "engine_coalesced_drain", vec, ref,
             "96k-event tie-heavy no-op drain (1500 cycles x 64 ties), "

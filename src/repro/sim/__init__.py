@@ -5,7 +5,7 @@ from .config import DEFAULT_CONFIG, SimConfig
 from .dram import DRAMModel
 from .engine import Engine
 from .fu import IUPool
-from .memory import Cache, MemorySystem, PELatencyWindow, ReferenceCache, Scratchpad
+from .memory import Cache, MemorySystem, PELatencyWindow, Scratchpad
 from .metrics import PEMetrics, RunMetrics, geomean
 from .noc import NoC
 from .pe import PE
@@ -24,7 +24,6 @@ __all__ = [
     "PELatencyWindow",
     "PEMetrics",
     "POLICIES",
-    "ReferenceCache",
     "RunMetrics",
     "Scratchpad",
     "TaskSpan",

@@ -90,9 +90,9 @@ class Accelerator:
         # cohort completions and metrics collection sweep the columns.
         self.pe_state = PEStateVector(config.num_pes, schedule.depth)
         self.pes: List[PE] = [PE(i, self, factory) for i in range(config.num_pes)]
-        # Macro-step engine core: binds every PE's fast path to the
-        # active backend (None = per-event booking; see
-        # sim/backend/macro.py for the escape protocol).
+        # Macro-step engine core: binds every PE's fast path when the
+        # active backend is compiled (None under pure = per-event
+        # booking; see sim/backend/macro.py for the escape protocol).
         self.macro = build_macro(self)
         self._roots: Deque[int] = deque()
         self._pe_roots: List[Deque[int]] = [deque() for _ in self.pes]

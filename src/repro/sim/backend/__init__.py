@@ -2,17 +2,22 @@
 
 The hottest validated kernels — sorted-set intersection/subtraction
 (``mining/setops.py``), span residency/stamping and EMA latency folds
-(``sim/memory.py``), the task tree's scheduler ops (``tree_bind``), and
-the event-drain inner loop (``sim/engine.py``) — live behind this
-interface with two implementations:
+(``sim/memory.py``) and the task tree's scheduler ops (``tree_bind``) —
+live behind this interface with two implementations:
 
 ``pure``
     The existing python/numpy reference (:mod:`.pure`).  Always
     available; the compiled backend is differential-tested against it.
 ``cext``
     The same loops as C, compiled on demand with the system compiler
-    and loaded through cffi's ABI mode (:mod:`.cext`).  Available when
-    cffi and a C compiler are present.
+    and loaded through cffi (:mod:`.cext`).  Available when cffi and a
+    C compiler are present.  It also binds the macro-step core
+    (``macro_bind``, see :mod:`.macro`), which books a whole task in
+    one call; under ``pure`` every task books per-event, and that path
+    is the reference the core is tested against.
+
+The event-drain inner loop (:mod:`.engine_loop`) has one
+implementation, shared by both.
 
 Selection
 ---------
@@ -41,7 +46,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple
 
 from ...mining import setops as _setops
-from . import _loops
 from . import pure as _pure
 from .compiled import BackendUnavailable, KernelSet
 from .engine_loop import drain as engine_drain
@@ -75,10 +79,6 @@ def _make_pure() -> KernelSet:
         _pure.span_resident_stamp,
         _pure.ema_fold,
         _pure.tree_bind,
-        # The interpreted reference of the macro-step core: slower than
-        # per-event booking, but lets the parity suite force the macro
-        # path under the pure backend (config.macro_step=True).
-        task_fastpath=_loops.task_fastpath_loop,
     )
 
 

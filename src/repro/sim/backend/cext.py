@@ -1,8 +1,12 @@
 """C-extension kernel backend (cffi, no setuptools).
 
-The kernels mirror the loop bodies of :mod:`._loops` and the pure
-backend's task-tree ops (:func:`.pure.tree_bind`), written in C below and
-compiled on demand with the system C compiler into a shared object
+The kernels are C loops over flat buffers, written below and held to
+the pure backend (:mod:`.pure`) by the kernel-parity suite: the set
+operations and span stamp produce identical outputs and cache state,
+the EMA fold repeats the pure loop's double expressions, the task-tree
+ops mirror :func:`.pure.tree_bind` statement for statement, and the
+macro-step core mirrors the per-event booking path.  They are compiled
+on demand with the system C compiler into a shared object
 cached under ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``)
 keyed by a hash of the source and compiler, so every process after the
 first just loads the cached ``.so``.  Neither path needs
@@ -139,11 +143,15 @@ void repro_ema_fold(double *state, double alpha, double latency, int64_t n)
 
 /* Macro-step engine core: one task booked through every pipeline stage.
  *
- * C mirror of task_fastpath_loop in _loops.py — same statements, same
- * double expressions in the same order, so the booked state is
- * bit-identical to the Python per-event path.  One struct per PE holds
- * pre-offset pointers into the owning objects' numpy storage plus the
- * config scalars, so a call marshals only the per-task scalars.
+ * Mirrors the Python per-event path — PE._book_front, _book_body and
+ * _book_tail in sim/pe.py, MemorySystem.fetch_*_span and
+ * install_intermediate_span in sim/memory.py, IUPool.submit in
+ * sim/fu.py — with the same double expressions in the same order, so
+ * the booked state is bit-identical.  Phase 1 probes every cache
+ * precondition without side effects; phase 2 commits.  One struct per
+ * PE holds pre-offset pointers into the owning objects' numpy storage
+ * plus the config scalars, so a call marshals only the per-task
+ * scalars.
  *
  * Returns 0 (complete, result[0] = completion time), 1 (partial —
  * output span not L1-resident; committed through IU service, result[0]
@@ -930,8 +938,8 @@ def _load_api_module(name: str, so_path: Path):
 class _CLib:
     """Array-level adapter over the dlopened C library.
 
-    Presents the :mod:`._loops` signatures (numpy arrays in, counts
-    out) so the shared glue in :mod:`.compiled` works unchanged.  The
+    Presents array-level loop signatures (numpy arrays in, counts
+    out) to the shared glue in :mod:`.compiled`.  The
     arrays are already C-contiguous ``int64``/``float64`` — the glue
     normalizes operands — so ``from_buffer`` is a zero-copy cast.
 

@@ -1,17 +1,18 @@
 """Object-level glue for the compiled kernel backend (the C extension).
 
 The C extension exposes loop kernels taking flat ``int64``/``float64``
-numpy buffers (``intersect_loop``, ``subtract_loop``,
-``resident_stamp_loop``, the signatures of :mod:`._loops`) plus a
-persistent-state EMA fold; the object-level adaptation lives here: operand
-normalization, output allocation, and the ``Cache``/``PELatencyWindow``
-state handshakes.
+numpy buffers (``intersect_loop(a, b, out)``, ``subtract_loop(a, b,
+out)``, ``resident_stamp_loop(tags, stamps, num_sets, assoc, first,
+last, tick)``, each returning a count or a flag) plus a persistent-state
+EMA fold; the object-level adaptation lives here: operand normalization,
+output allocation, and the ``Cache``/``PELatencyWindow`` state
+handshakes.
 
 The adapters preserve the pure backend's exact observable behavior:
 identical result arrays (sorted unique ``int64``; the shared ``EMPTY``
 singleton for empty results), identical cache state (stamps in address
-order, consecutive ticks), and bit-identical floats (the loop bodies use
-the same double expressions in the same order — see :mod:`._loops`).
+order, consecutive ticks), and bit-identical floats (the C loops use the
+pure backend's double expressions in the same order).
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ class KernelSet:
     """
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
-                 span_resident_stamp, ema_fold, tree_bind,
-                 task_fastpath=None, macro_bind=None):
+                 span_resident_stamp, ema_fold, tree_bind, macro_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
@@ -58,14 +58,10 @@ class KernelSet:
         #: extension pre-marshals the tree's array pointers into one
         #: struct).
         self.tree_bind = tree_bind
-        #: Macro-step fast-path loop with the :func:`._loops
-        #: .task_fastpath_loop` signature (the interpreted reference for
-        #: pure); ``None`` when the backend binds at a lower level.
-        self.task_fastpath = task_fastpath
-        #: Backend-native per-PE binder ``(accel, spans, result) ->
-        #: [book, ...]`` (the C extension pre-marshals pointers into
-        #: per-PE structs); ``None`` to bind ``task_fastpath`` through
-        #: the generic numpy-view binder in :mod:`.macro`.
+        #: Macro-step binder ``(accel, spans, result) -> [book, ...]``,
+        #: one whole-task booking call per PE (the C extension
+        #: pre-marshals pointers into per-PE structs); ``None`` for the
+        #: pure backend, which books per-event.
         self.macro_bind = macro_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.

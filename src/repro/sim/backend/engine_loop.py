@@ -7,8 +7,8 @@ move to C.  What moves to C instead is the work **between** the two
 events a task costs: under a compiled backend the macro-step core
 (:mod:`repro.sim.backend.macro`) drains a task's whole booking — the
 dozen stages the start event used to walk through Python — in one
-``task_fastpath`` call, escaping back to the per-event path only when
-a precondition fails.  This loop then sees exactly two events per task
+compiled call, escaping back to the per-event path only when a
+precondition fails.  This loop then sees exactly two events per task
 either way; the macro core changes what the start event *does*, never
 what this loop observes.  What the extraction buys:
 
@@ -26,9 +26,11 @@ Exactness: a cohort call is defined as equivalent to dispatching each
 payload in FIFO order (``PE.dispatch_events`` preserves per-task side
 -effect order; instrumented PEs fall back to per-task dispatch), and a
 mixed bucket executes plain callables and tuples in exactly the
-scheduled order.  On a callback exception the rest of the bucket is
-dropped with it — ``_pending`` was already debited for the whole
-bucket, so the counter stays consistent with the queue.
+scheduled order; the engine tests hold this loop to a one-event-at-a-
+time drain kept with the test oracles.  On a callback exception the
+rest of the bucket is dropped with it — ``_pending`` was already
+debited for the whole bucket, so the counter stays consistent with the
+queue.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional
 _INFINITY = float("inf")
 
 
-def drain(engine, until: Optional[float], max_events: Optional[int]) -> int:
+def drain(engine, until: Optional[float]) -> int:
     """Run ``engine``'s queue; returns the number of events executed.
 
     Semantics documented on :meth:`Engine.run` (which delegates here).
@@ -49,43 +51,6 @@ def drain(engine, until: Optional[float], max_events: Optional[int]) -> int:
     times = engine._times
     buckets = engine._buckets
     heappop = heapq.heappop
-
-    if max_events is None:
-        while times:
-            time = times[0]
-            if time > bound:
-                break
-            heappop(times)
-            engine.now = time
-            bucket = buckets.pop(time)
-            nb = len(bucket)
-            executed += nb
-            engine._pending -= nb
-            i = 0
-            while i < nb:
-                ev = bucket[i]
-                if ev.__class__ is tuple:
-                    owner = ev[0]
-                    j = i + 1
-                    while j < nb:
-                        nxt = bucket[j]
-                        if nxt.__class__ is not tuple or nxt[0] is not owner:
-                            break
-                        j += 1
-                    if j - i == 1:
-                        owner.dispatch_event(ev[1])
-                    else:
-                        owner.dispatch_events([bucket[k][1] for k in range(i, j)])
-                    i = j
-                else:
-                    ev()
-                    i += 1
-        return executed
-
-    # max_events path (tests and stepped execution): per-event counting,
-    # re-queueing the bucket remainder on an early stop ahead of any
-    # same-time events the executed callbacks scheduled.
-    heappush = heapq.heappush
     while times:
         time = times[0]
         if time > bound:
@@ -93,29 +58,26 @@ def drain(engine, until: Optional[float], max_events: Optional[int]) -> int:
         heappop(times)
         engine.now = time
         bucket = buckets.pop(time)
-        engine._pending -= len(bucket)
+        nb = len(bucket)
+        executed += nb
+        engine._pending -= nb
         i = 0
-        n = len(bucket)
-        while i < n:
+        while i < nb:
             ev = bucket[i]
-            i += 1
             if ev.__class__ is tuple:
-                ev[0].dispatch_event(ev[1])
+                owner = ev[0]
+                j = i + 1
+                while j < nb:
+                    nxt = bucket[j]
+                    if nxt.__class__ is not tuple or nxt[0] is not owner:
+                        break
+                    j += 1
+                if j - i == 1:
+                    owner.dispatch_event(ev[1])
+                else:
+                    owner.dispatch_events([bucket[k][1] for k in range(i, j)])
+                i = j
             else:
                 ev()
-            executed += 1
-            if executed >= max_events:
-                break
-        if i < n:
-            rest = bucket[i:]
-            engine._pending += len(rest)
-            fresh = buckets.get(time)
-            if fresh is None:
-                buckets[time] = rest
-                heappush(times, time)
-            else:
-                rest.extend(fresh)
-                buckets[time] = rest
-        if executed >= max_events:
-            break
+                i += 1
     return executed

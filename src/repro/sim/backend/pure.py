@@ -4,8 +4,9 @@ These are the exact kernels the simulator ran before the backend layer
 existed: the searchsorted set operations from ``mining.setops`` and the
 tiered span-residency / EMA folds lifted verbatim out of
 ``sim/memory.py``.  The compiled backend is differential-tested against
-this one (``tests/test_backend_parity.py``), the same way ``Cache`` is
-tested against ``ReferenceCache``.
+this one (``tests/test_backend_parity.py``).  There is no macro-step
+core here: under this backend every task books per-event, which is the
+reference the compiled core is tested against.
 
 Kernel contracts
 ----------------

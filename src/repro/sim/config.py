@@ -99,18 +99,10 @@ class SimConfig:
     #: Kernel backend for the simulator hot path: "auto", "pure" or
     #: "cext".  None defers to ``REPRO_BACKEND`` / auto
     #: selection; an unavailable backend falls back gracefully (see
-    #: ``repro.sim.backend``).  All backends produce byte-identical
-    #: metrics, so this is a speed knob, not a model knob.
+    #: ``repro.sim.backend``).  A compiled backend also books whole
+    #: tasks through the macro-step core.  All backends produce
+    #: byte-identical metrics, so this is a speed knob, not a model knob.
     backend: Optional[str] = None
-    #: Macro-step engine core: book a whole task pipeline in one
-    #: compiled call, escaping to the per-event Python path on cache
-    #: misses, multi-round tasks and instrumentation.  None = auto (on
-    #: exactly when the active kernel backend is compiled); True forces
-    #: it on even under the pure backend (the interpreted reference
-    #: loop — slower, used by the parity suite); False pins the
-    #: per-event path.  All settings produce byte-identical metrics, so
-    #: like ``backend`` this is a speed knob, not a model knob.
-    macro_step: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:
@@ -144,8 +136,6 @@ class SimConfig:
             raise ConfigError(
                 "backend must be one of None, 'auto', 'pure', 'cext'"
             )
-        if self.macro_step not in (None, True, False):
-            raise ConfigError("macro_step must be None, True or False")
 
     # ------------------------------------------------------------------
     def replace(self, **changes) -> "SimConfig":

@@ -54,7 +54,6 @@ class Engine:
         self._times: List[float] = []  # heap of distinct pending timestamps
         self._buckets: Dict[float, List[Callback]] = {}
         self._pending = 0  # queued events (kept in lockstep with _buckets)
-        self._running = False
 
     def at(self, time: float, callback: Callback) -> None:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
@@ -108,24 +107,17 @@ class Engine:
         """Number of queued events (O(1) — a maintained counter)."""
         return self._pending
 
-    def run(self, *, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
+    def run(self, *, until: Optional[float] = None) -> int:
         """Drain the queue; returns the number of events executed.
 
-        Stops when the queue empties, the clock passes ``until``, or
-        ``max_events`` have run (whichever first).  Callbacks may schedule
-        further events.
+        Stops when the queue empties or the clock passes ``until``.
+        Callbacks may schedule further events.
 
         The clock advances once per distinct timestamp and that time's
         whole bucket drains in FIFO (= scheduling) order; the ``until``
-        comparison happens once per timestamp, not once per event.  The
-        ``max_events`` path counts per event and re-queues the bucket
-        remainder on an early stop, ahead of any same-time events the
-        executed callbacks scheduled.  If a callback raises, the rest of
-        its bucket is dropped with it (later timestamps stay queued);
-        a simulation never resumes a run that raised.
+        comparison happens once per timestamp, not once per event.  If
+        a callback raises, the rest of its bucket is dropped with it
+        (later timestamps stay queued); a simulation never resumes a
+        run that raised.
         """
-        self._running = True
-        try:
-            return _drain(self, until, max_events)
-        finally:
-            self._running = False
+        return _drain(self, until)

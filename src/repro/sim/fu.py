@@ -12,8 +12,8 @@ server pool.
 The server-free times live in a numpy ``float64`` array (with the
 running accounting in a 3-slot ``_acc`` array) so the compiled
 macro-step core can pin the same storage and advance the pool without a
-Python round trip; see ``sim/backend/_loops.task_fastpath_loop`` for the
-mirrored arithmetic.
+Python round trip; ``repro_task_fastpath`` in ``sim/backend/cext.py``
+mirrors :meth:`IUPool.submit`'s arithmetic.
 """
 
 from __future__ import annotations

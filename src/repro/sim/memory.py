@@ -7,10 +7,8 @@ DRAM sits behind the L2.  This module provides:
 
 * :class:`Cache` — a functional set-associative LRU cache at line
   granularity (used for both L1 and L2), stored as flattened per-set
-  numpy tag / LRU-stamp arrays with a batched :meth:`Cache.access_lines`
-  API,
-* :class:`ReferenceCache` — the original insertion-ordered-dict model,
-  kept as the oracle for the trace-equivalence tests,
+  numpy tag / LRU-stamp arrays with span-native fills
+  (:meth:`Cache.insert_span`),
 * :class:`Scratchpad` — an occupancy counter gating in-flight task data,
 * :class:`MemorySystem` — the latency/accounting layer combining the
   caches, the NoC hop and the DRAM channel queues, with per-PE average
@@ -25,9 +23,9 @@ monotonic access counter: every hit or insert stamps the touched way with
 the next tick, and the eviction victim is the way with the smallest
 stamp.  Stamps are unique, so min-stamp selection reproduces the ordered
 dict's "first key = LRU" victim exactly; lookup misses leave recency
-untouched in both models.  ``tests/test_sim_memory.py`` drives both
-implementations over recorded random traces and asserts identical
-hit/miss/eviction sequences.
+untouched in both models.  ``tests/test_sim_memory.py`` drives the
+cache and the dict model (kept with the test oracles) over recorded
+random traces and asserts identical hit/miss/eviction sequences.
 
 Hot-path notes
 --------------
@@ -211,46 +209,6 @@ class Cache:
         return evicted
 
     # ------------------------------------------------------------------
-    # batched variants
-    # ------------------------------------------------------------------
-    def access_lines(self, line_addrs: Sequence[int]) -> np.ndarray:
-        """Batched :meth:`lookup` over **distinct** line addresses.
-
-        Returns the boolean hit mask.  Hit ways are stamped in batch
-        order with consecutive ticks, so the resulting LRU state equals a
-        sequential lookup sweep; stats update identically.  Duplicate
-        addresses within one batch are not supported (a duplicate's
-        second access could flip from miss to hit mid-batch) — callers
-        with possibly-duplicated batches use sequential :meth:`lookup`.
-        """
-        n = len(line_addrs)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        addrs = np.asarray(line_addrs, dtype=np.int64)
-        sets = addrs % self.num_sets
-        ways = self._tags.reshape(self.num_sets, self.assoc)[sets]
-        hit_ways = ways == addrs[:, None]
-        mask = hit_ways.any(axis=1)
-        slots = (sets * self.assoc + hit_ways.argmax(axis=1))[mask]
-        nh = int(len(slots))
-        if nh:
-            self._stamps[slots] = np.arange(self._tick, self._tick + nh, dtype=np.int64)
-            self._tick += nh
-        self.hits += nh
-        self.misses += n - nh
-        return mask
-
-    def insert_lines(self, line_addrs: Sequence[int]) -> List[int]:
-        """Batched :meth:`insert`; returns the evicted line addresses."""
-        insert = self.insert
-        out: List[int] = []
-        for addr in line_addrs:
-            evicted = insert(addr)
-            if evicted is not None:
-                out.append(evicted)
-        return out
-
-    # ------------------------------------------------------------------
     # span kernels
     # ------------------------------------------------------------------
     def _span_probe(self, first_line: int, last_line: int):
@@ -264,26 +222,6 @@ class Cache:
         sets = addrs % self.num_sets
         hit_ways = self._tags.reshape(self.num_sets, self.assoc)[sets] == addrs[:, None]
         return sets, hit_ways, hit_ways.any(axis=1)
-
-    def access_span(self, first_line: int, last_line: int) -> np.ndarray:
-        """:meth:`access_lines` over the span ``[first_line, last_line]``.
-
-        Returns the boolean hit mask.  Hit ways are stamped in address
-        order with consecutive ticks, exactly as a sequential
-        :meth:`lookup` sweep would leave them; stats update identically.
-        """
-        n = last_line - first_line + 1
-        if n <= 0:
-            return np.zeros(0, dtype=bool)
-        sets, hit_ways, mask = self._span_probe(first_line, last_line)
-        slots = (sets * self.assoc + hit_ways.argmax(axis=1))[mask]
-        nh = int(len(slots))
-        if nh:
-            self._stamps[slots] = np.arange(self._tick, self._tick + nh, dtype=np.int64)
-            self._tick += nh
-        self.hits += nh
-        self.misses += n - nh
-        return mask
 
     def insert_span(self, first_line: int, last_line: int) -> List[int]:
         """Batched :meth:`insert` of a span; returns evicted line addresses.
@@ -335,87 +273,6 @@ class Cache:
             if evicted is not None:
                 out.append(evicted)
         return out
-
-    def invalidate_all(self) -> None:
-        """Drop all contents (used between independent simulations)."""
-        self._tags.fill(-1)
-        self._stamps.fill(0)
-        self._fill = [0] * self.num_sets
-        self._where.clear()
-        self._meta[0] = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction over all lookups (0.0 when never accessed)."""
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
-
-class ReferenceCache:
-    """Insertion-ordered-dict LRU cache: the original (slow) model.
-
-    Retained verbatim as the oracle for the flattened :class:`Cache`'s
-    trace-equivalence tests; not used by the simulator hot path.
-    """
-
-    def __init__(self, size_bytes: int, assoc: int, line_bytes: int, name: str = "cache") -> None:
-        if size_bytes <= 0 or assoc < 1 or line_bytes <= 0:
-            raise ConfigError("invalid cache geometry")
-        lines = size_bytes // line_bytes
-        if lines < assoc:
-            raise ConfigError(f"{name}: fewer lines ({lines}) than ways ({assoc})")
-        self.name = name
-        self.assoc = assoc
-        self.num_sets = max(1, lines // assoc)
-        self.line_bytes = line_bytes
-        # One insertion-ordered dict per set: first key = LRU.
-        self._sets: List[Dict[int, None]] = [dict() for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def _set_of(self, line_addr: int) -> Dict[int, None]:
-        return self._sets[int(line_addr) % self.num_sets]
-
-    def lookup(self, line_addr: int) -> bool:
-        """Access a line: returns hit/miss and refreshes LRU order."""
-        target = self._set_of(line_addr)
-        if line_addr in target:
-            del target[line_addr]
-            target[line_addr] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def contains(self, line_addr: int) -> bool:
-        """Presence check without touching LRU state or stats."""
-        return line_addr in self._set_of(line_addr)
-
-    def insert(self, line_addr: int) -> Optional[int]:
-        """Fill a line, returning the evicted line address (or ``None``)."""
-        target = self._set_of(line_addr)
-        if line_addr in target:
-            del target[line_addr]
-            target[line_addr] = None
-            return None
-        evicted = None
-        if len(target) >= self.assoc:
-            evicted = next(iter(target))
-            del target[evicted]
-            self.evictions += 1
-        target[line_addr] = None
-        return evicted
-
-    def invalidate_all(self) -> None:
-        """Drop all contents (used between independent simulations)."""
-        for s in self._sets:
-            s.clear()
 
     @property
     def accesses(self) -> int:
@@ -584,20 +441,12 @@ class MemorySystem:
     def line_span(self, base: int, num_bytes: int) -> Optional[Tuple[int, int]]:
         """``(first_line, last_line)`` covering ``[base, base + num_bytes)``.
 
-        ``None`` for empty ranges — the span equivalent of
-        :meth:`line_addrs` returning ``[]``.
+        ``None`` for empty ranges.
         """
         if num_bytes <= 0:
             return None
         line = self.config.cache_line_bytes
         return (base // line, (base + num_bytes - 1) // line)
-
-    def line_addrs(self, base: int, num_bytes: int) -> List[int]:
-        """Line addresses covering ``[base, base + num_bytes)``."""
-        span = self.line_span(base, num_bytes)
-        if span is None:
-            return []
-        return list(range(span[0], span[1] + 1))
 
     # ------------------------------------------------------------------
     def _l2_access(self, line_addr: int, arrive: float) -> float:

@@ -72,10 +72,6 @@ def _config_dict(config: SimConfig) -> Dict[str, object]:
     # goldens are backend-independent by construction and recording the
     # selection would only manufacture spurious config drift.
     out.pop("backend", None)
-    # Same reasoning for the macro-step toggle: fast-path vs. per-event
-    # booking is bit-identical by construction (the macro parity suite
-    # enforces it), so the setting is not part of the pinned model.
-    out.pop("macro_step", None)
     return out
 
 

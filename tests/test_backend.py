@@ -204,18 +204,6 @@ class TestTypedEvents:
         with pytest.raises(SimulationError):
             engine.post(1.0, _Sink(), "late")
 
-    def test_max_events_dispatches_singly(self):
-        engine = Engine()
-        sink = _Sink()
-        for payload in range(4):
-            engine.post(1.0, sink, payload)
-        assert engine.run(max_events=2) == 2
-        assert sink.single == [0, 1]
-        # The unbounded drain batches the requeued remainder as a cohort.
-        assert engine.run() == 2
-        assert sink.single == [0, 1]
-        assert sink.batches == [[2, 3]]
-
 
 class TestPendingCounter:
     def test_counts_all_event_shapes(self):
@@ -227,15 +215,6 @@ class TestPendingCounter:
         engine.run()
         assert engine.pending() == 0
 
-    def test_max_events_requeue_keeps_count(self):
-        engine = Engine()
-        for _ in range(5):
-            engine.at(1.0, lambda: None)
-        engine.run(max_events=2)
-        assert engine.pending() == 3
-        engine.run()
-        assert engine.pending() == 0
-
     def test_events_scheduled_during_drain_counted(self):
         engine = Engine()
 
@@ -243,7 +222,7 @@ class TestPendingCounter:
             engine.after(1.0, lambda: None)
 
         engine.at(1.0, chain)
-        engine.run(max_events=1)
+        engine.run(until=1.0)
         assert engine.pending() == 1
 
     def test_exception_drops_bucket_consistently(self):

@@ -2,10 +2,10 @@
 
 Three layers, mirroring how the backends are built:
 
-* **Loop parity** — the loop bodies in ``sim/backend/_loops.py`` (what
-  the C source mirrors) run *interpreted* against the pure/numpy
-  reference on fuzzed inputs, so the shared numerics are covered even
-  where the C extension cannot build.
+* **Loop parity** — the C extension's array-level loops, called
+  directly with a caller-owned output buffer, against the numpy
+  reference on fuzzed inputs covering both regimes (merge and gallop),
+  so a loop bug cannot hide behind the kernel glue.
 * **Kernel parity** — every *available* backend's kernel set against
   pure: identical outputs and identical accounted side effects (cache
   stamps/ticks, EMA window state).
@@ -25,7 +25,6 @@ from repro.mining.setops import (
     subtract,
 )
 from repro.sim import SimConfig, backend, simulate
-from repro.sim.backend import _loops
 from repro.sim.backend import pure as pure_backend
 from repro.sim.memory import Cache, PELatencyWindow
 from repro.validate.fuzz import build_config, build_graph, case_rng, make_case
@@ -70,30 +69,38 @@ def _operand_cases(seed=7, count=40):
 
 
 class TestLoopParity:
-    """Interpreted ``_loops`` bodies vs the numpy reference."""
+    """The C extension's array-level loops vs the numpy reference."""
+
+    @pytest.fixture(scope="class")
+    def lib(self):
+        if "cext" not in AVAILABLE:
+            pytest.skip("the cext backend did not build here")
+        from repro.sim.backend import cext
+
+        return cext._CLib()
 
     @pytest.mark.parametrize("a,b", _operand_cases())
-    def test_intersect_loop(self, a, b):
+    def test_intersect_loop(self, lib, a, b):
         out = np.empty(max(len(a), 1), dtype=np.int64)
         small, large = (a, b) if len(a) <= len(b) else (b, a)
-        k = _loops.intersect_loop(small, large, out)
+        k = lib.intersect_loop(small, large, out)
         np.testing.assert_array_equal(out[:k], np.intersect1d(a, b))
 
     @pytest.mark.parametrize("a,b", _operand_cases(seed=11))
-    def test_subtract_loop(self, a, b):
+    def test_subtract_loop(self, lib, a, b):
         out = np.empty(max(len(a), 1), dtype=np.int64)
-        k = _loops.subtract_loop(a, b, out)
+        k = lib.subtract_loop(a, b, out)
         np.testing.assert_array_equal(out[:k], np.setdiff1d(a, b))
 
-    def test_ema_fold_loop_bit_identical(self):
+    def test_ema_fold_loop_bit_identical(self, lib):
         for n in (1, 3, 8, 17, 300):
             window = PELatencyWindow()
             for _ in range(n):
                 window.record(37.25)
-            state = np.array([2.0, 0.0], dtype=np.float64)
-            _loops.ema_fold_loop(state, window.alpha, 37.25, n)
-            assert state[0] == window.value
-            assert state[1] == window.total_latency
+            folded = PELatencyWindow()
+            lib.ema_fold_window(folded, 37.25, n)
+            assert folded.value == window.value
+            assert folded.total_latency == window.total_latency
 
 
 def _filled_cache(lines=32, assoc=4, line_bytes=64, resident=()):

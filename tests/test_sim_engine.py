@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Engine
+from tests.oracles import legacy_drain
 
 
 class TestScheduling:
@@ -61,15 +62,6 @@ class TestRunControl:
         assert log == [1]
         assert engine.pending() == 1
 
-    def test_max_events(self):
-        engine = Engine()
-        log = []
-        for t in range(5):
-            engine.at(t, lambda t=t: log.append(t))
-        executed = engine.run(max_events=3)
-        assert executed == 3
-        assert log == [0, 1, 2]
-
     def test_cascading_events(self):
         engine = Engine()
         count = [0]
@@ -118,24 +110,27 @@ class TestDeterminism:
         assert len(logs[0]) > 10  # the storm actually cascaded
 
     def test_coalesced_and_legacy_loops_agree(self):
-        # max_events=None takes the same-cycle coalescing drain loop;
-        # a huge max_events takes the legacy per-event loop.  Both must
-        # produce the identical (time, tag) sequence and final clock.
+        # Engine.run takes the same-cycle coalescing drain loop; the
+        # oracle drains one event at a time.  Both must produce the
+        # identical (time, tag) sequence, event count and final clock.
         runs = []
-        for max_events in (None, 10_000):
+        for drain in (lambda e: e.run(), lambda e: legacy_drain(e, 10_000)):
             engine = Engine()
             log = []
             self._storm(engine, log)
-            engine.run(max_events=max_events)
-            runs.append((log, engine.now))
+            executed = drain(engine)
+            runs.append((log, executed, engine.now))
         assert runs[0] == runs[1]
 
     def test_coalesced_until_boundary_matches_legacy(self):
         runs = []
-        for max_events in (None, 10_000):
+        for drain in (
+            lambda e: e.run(until=5),
+            lambda e: legacy_drain(e, 10_000, until=5),
+        ):
             engine = Engine()
             log = []
             self._storm(engine, log)
-            engine.run(until=5, max_events=max_events)
-            runs.append((log, engine.now, engine.pending()))
+            executed = drain(engine)
+            runs.append((log, executed, engine.now, engine.pending()))
         assert runs[0] == runs[1]

@@ -5,14 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim import (
-    Cache,
-    MemorySystem,
-    PELatencyWindow,
-    ReferenceCache,
-    Scratchpad,
-    SimConfig,
-)
+from repro.sim import Cache, MemorySystem, PELatencyWindow, Scratchpad, SimConfig
+from tests.oracles import ReferenceCache
 
 
 class TestCacheBasics:
@@ -73,12 +67,6 @@ class TestCacheBasics:
         c.lookup(2)
         assert c.hit_rate == pytest.approx(0.5)
 
-    def test_invalidate_all(self):
-        c = Cache(1024, 2, 64)
-        c.insert(1)
-        c.invalidate_all()
-        assert not c.contains(1)
-
     def test_geometry_validation(self):
         with pytest.raises(ConfigError):
             Cache(0, 2, 64)
@@ -136,10 +124,11 @@ class TestMemorySystem:
         return MemorySystem(SimConfig(num_pes=2, l1_kb=1, l2_kb=16))
 
     def test_line_addrs(self, mem):
-        assert mem.line_addrs(0, 64) == [0]
-        assert mem.line_addrs(0, 65) == [0, 1]
-        assert mem.line_addrs(70, 10) == [1]
-        assert mem.line_addrs(0, 0) == []
+        # The lines covering a byte range, as an inclusive span.
+        assert mem.line_span(0, 64) == (0, 0)
+        assert mem.line_span(0, 65) == (0, 1)
+        assert mem.line_span(70, 10) == (1, 1)
+        assert mem.line_span(0, 0) is None
 
     def test_install_then_fetch_hits(self, mem):
         mem.install_intermediate(0, [100, 101])
@@ -230,10 +219,11 @@ def test_cache_matches_reference_lru(accesses, ways, sets_pow):
 
 
 # ----------------------------------------------------------------------
-# Flattened Cache vs the retained insertion-ordered-dict ReferenceCache:
-# the two models must emit identical hit/miss/eviction sequences over
-# recorded random traces (the seed-cache equivalence promised in the
-# module docstring of repro/sim/memory.py).
+# Flattened Cache vs the insertion-ordered-dict ReferenceCache
+# (tests/oracles.py): the two models must emit identical
+# hit/miss/eviction sequences over recorded random traces (the
+# seed-cache equivalence promised in the module docstring of
+# repro/sim/memory.py).
 # ----------------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
@@ -257,36 +247,3 @@ def test_flat_cache_trace_equivalent_to_reference_cache(trace, ways, sets_pow):
         seed.hits, seed.misses, seed.evictions,
     )
     assert flat.hit_rate == seed.hit_rate
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    batches=st.lists(
-        st.lists(st.integers(0, 48), min_size=0, max_size=12, unique=True),
-        min_size=1,
-        max_size=24,
-    ),
-    ways=st.integers(1, 4),
-    sets_pow=st.integers(0, 3),
-)
-def test_batched_access_lines_matches_sequential_lookups(batches, ways, sets_pow):
-    """``access_lines`` over distinct addresses = a sequential ``lookup``
-    sweep: same hit mask, same stats, and — via interleaved inserts that
-    force evictions — the same downstream LRU state."""
-    sets = 2 ** sets_pow
-    batched = Cache(sets * ways * 64, ways, 64)
-    sequential = Cache(sets * ways * 64, ways, 64)
-    for batch in batches:
-        mask = batched.access_lines(batch)
-        assert len(mask) == len(batch)
-        for line, batched_hit in zip(batch, mask):
-            assert sequential.lookup(line) == bool(batched_hit)
-        # Fill the misses in both models so LRU state keeps evolving.
-        misses = [line for line, hit in zip(batch, mask) if not hit]
-        assert batched.insert_lines(misses) == [
-            e for e in (sequential.insert(line) for line in misses)
-            if e is not None
-        ]
-    assert (batched.hits, batched.misses, batched.evictions) == (
-        sequential.hits, sequential.misses, sequential.evictions,
-    )

@@ -15,9 +15,11 @@ registry, so the ops answer to two references:
 * **Golden cells** — the pinned shogun snapshots hold under each
   backend's ops, with the ops taking every decision.
 
-The macro-step core composes with the ops (random escapes included),
-and instrumentation observes them instead of rerouting them: a
-``TraceRecorder``-attached run keeps the ops and its metrics.
+The parity cells unbind the cext macro-step core so both sides book
+per-event and only the tree ops differ; the core's composition with the
+ops (random escapes included) gets its own cell.  Instrumentation
+observes the ops instead of rerouting them: a ``TraceRecorder``-attached
+run keeps the ops and its metrics.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.validate.golden import (
     snapshot_path,
 )
 from repro.validate.oracle import ORACLE_POLICIES
+from tests.oracles import inject_escapes, unbind_macro
 
 #: Backends whose tree ops run here: pure always, cext when it built.
 BACKENDS = ["pure"] + (
@@ -56,9 +59,7 @@ SCALE = 0.2
 PATTERNS = ("tc", "4cl")
 OPS = ("select", "fill", "complete")
 
-#: Per-event booking keeps the macro core out of the comparison; the
-#: macro × tree-op composition gets its own cell below.
-CONFIG = SimConfig(backend="pure", macro_step=False)
+CONFIG = SimConfig(backend="pure")
 
 
 @pytest.fixture(autouse=True)
@@ -88,11 +89,13 @@ def _op_calls(accel, op):
 
 
 def _parity(graph, schedule, config, policy="shogun"):
-    """Run one cell under the pure and the C ops; metrics must match."""
+    """Run one cell under the pure and the C ops; metrics must match.
+
+    Both sides book per-event: the cext run's macro core is unbound.
+    """
     pure = simulate(graph, schedule, policy=policy, config=config)
-    cext = simulate(
-        graph, schedule, policy=policy, config=config.replace(backend="cext")
-    )
+    accel = Accelerator(graph, schedule, config.replace(backend="cext"), policy)
+    cext = unbind_macro(accel).run()
     assert cext.to_dict() == pure.to_dict(), (
         f"cext tree ops diverged from the pure ops on {policy}"
     )
@@ -165,27 +168,22 @@ class TestEdgeCells:
             CONFIG.replace(conservative_override=conservative),
         )
 
+    @needs_cext
     def test_macro_drain_composition(self, graph, schedules):
-        """Macro-step booking + batch dispatch + tree ops together (the
-        production fast path) match per-event booking, with random
-        macro escapes mixed in."""
+        """Macro-step booking + batch dispatch + C tree ops together
+        (the production fast path) match pure per-event booking, with
+        random macro escapes mixed in."""
         ref = simulate(
             graph, schedules["4cl"], policy="shogun", config=CONFIG
         ).to_dict()
         rng = random.Random(0xC0FFEE)
-        for name in BACKENDS:
-            accel = Accelerator(
-                graph,
-                schedules["4cl"],
-                CONFIG.replace(backend=name, macro_step=True),
-                policy="shogun",
-            )
-            accel.macro.fault_hook = lambda pe, task: rng.random() < 0.3
-            metrics = accel.run()
-            assert accel.macro.counters["injected"] > 0
-            assert metrics.to_dict() == ref, (
-                f"backend {name} macro + tree-op composition diverged"
-            )
+        accel = Accelerator(
+            graph, schedules["4cl"], CONFIG.replace(backend="cext"), "shogun"
+        )
+        injected = inject_escapes(accel, lambda: rng.random() < 0.3)
+        metrics = accel.run()
+        assert injected[0] > 0
+        assert metrics.to_dict() == ref, "macro + tree-op composition diverged"
 
 
 class TestRandomGeometries:
