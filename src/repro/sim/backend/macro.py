@@ -18,10 +18,6 @@ typed escape **having mutated nothing**, so the Python slow path replays
 the task through the exact per-event code.  Escapes, from outermost to
 innermost:
 
-``instrumented``
-    A ``TraceRecorder`` / ``InvariantChecker`` wrapper is installed on
-    the PE (instance-attribute ``_start_task`` / ``_complete_task``):
-    the whole task books per-event so hooks observe every stage.
 ``multi_round``
     The working set exceeds the SPM share — the fetch/compute stages
     loop in Python (``PE._book_body`` multi-round branch).
@@ -39,6 +35,14 @@ booked through spawn; Python posts the completion event) and ``1``
 (partial — the output span was not fully L1-resident, so the core
 committed decode through IU service and Python finishes with
 ``PE._book_tail``: writeback installs, spills and spawn).
+
+Hooks on a PE (a ``TraceRecorder`` or ``InvariantChecker`` wrapping
+``_start_task`` / ``_complete_task``) change nothing here: they run
+around :meth:`MacroCore.start`, and a hooked PE books exactly like a
+bare one.  The core updates the same flat counters the per-event path
+does (cache hit/miss/tick arrays, ``MemorySystem`` line counts, latency
+windows), so checkers reconcile those after the run instead of
+intercepting stages.
 
 Every accounted metric is bit-identical to the per-event path by
 construction: the C body mirrors the Python float expressions statement
@@ -65,7 +69,6 @@ COUNTER_KEYS = (
     "graph_miss",
     "multi_round",
     "spans_overflow",
-    "instrumented",
 )
 
 #: Escape-status → counter key for the negative loop returns.
@@ -103,15 +106,6 @@ class MacroCore:
         exact per-event slow path (see the module docs for the escape
         taxonomy)."""
         counters = self.counters
-        # Instrumentation wrappers live in the instance __dict__ (the
-        # class attributes are the clean methods), so their presence is
-        # exactly the "hooks want per-stage visibility" signal.
-        instance = pe.__dict__
-        if "_start_task" in instance or "_complete_task" in instance:
-            counters["instrumented"] += 1
-            pe._book_task(task, now)
-            return
-
         parent = task.parent
         if parent is not None and parent.set_address is not None:
             vertex_line = (

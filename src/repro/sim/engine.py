@@ -18,11 +18,8 @@ Two event shapes share the queue:
 * plain callables (:meth:`Engine.at` / :meth:`Engine.after`) — run as
   ``callback()``;
 * typed events (:meth:`Engine.post`) — ``(owner, payload)`` tuples run
-  as ``owner.dispatch_event(payload)``, with consecutive same-owner
-  runs within a bucket batched into one
-  ``owner.dispatch_events(payloads)`` cohort call.  Task completions
-  use this shape: no closure allocation per task, and whole completion
-  cohorts advance through the PE state vector in one call.
+  one at a time as ``owner.dispatch_event(payload)``.  Task completions
+  use this shape: no closure allocation per task.
 
 The drain inner loop itself lives in
 :mod:`repro.sim.backend.engine_loop`, shared by every backend — each
@@ -87,9 +84,8 @@ class Engine:
 
         Same ordering semantics as :meth:`at`, without allocating a
         closure — the queue stores the ``(owner, payload)`` tuple and
-        the drain loop dispatches through the owner, late-bound (so
-        instrumentation that replaces ``owner.dispatch_event`` or the
-        underlying completion method still intercepts every event).
+        the drain loop dispatches each one through the owner,
+        late-bound, so a hook installed on the owner sees every event.
         """
         if time < self.now:
             raise SimulationError(

@@ -40,8 +40,8 @@ side-effect-free residency probe, then batch LRU stamping and a
 float-only latency walk — and fall back to the exact per-line walk of
 the sequence entry points (:meth:`MemorySystem.fetch_intermediate` /
 :meth:`MemorySystem.fetch_graph`, retained for strided multi-round
-chunks and the validation shims) whenever any line misses.  All
-arithmetic keeps the exact per-line expressions of the original model —
+chunks) whenever any line misses.  All arithmetic keeps the exact
+per-line expressions of the original model —
 ``latency = back - issue``, ``done = max(done, issue + latency)``,
 sequential bank/channel booking, per-access EMA folds — so every
 accounted metric is bit-identical; ``tests/test_sim_memory_spans.py``
@@ -226,15 +226,12 @@ class Cache:
     def insert_span(self, first_line: int, last_line: int) -> List[int]:
         """Batched :meth:`insert` of a span; returns evicted line addresses.
 
-        Two fast paths cover the states the simulator actually produces:
-        *all lines already resident* (a pure LRU refresh — the usual
-        writeback to a reused set address; handled by the active
-        backend's ``span_resident_stamp`` kernel, order-independent at
-        any width because restamping never evicts) and *all lines new
-        with a free way in every target set* (a first-touch fill).
-        Anything mixed, or a first-touch span wide enough to revisit a
-        set (``n > num_sets``), falls back to the sequential
-        :meth:`insert` walk so eviction interleaving stays exact.
+        A span whose lines are *all already resident* (a pure LRU
+        refresh — the usual writeback to a reused set address) takes the
+        active backend's ``span_resident_stamp`` kernel, which is
+        order-independent at any width because restamping never evicts.
+        Every other span walks :meth:`insert` line by line, so eviction
+        interleaving stays exact.
         """
         n = last_line - first_line + 1
         if n <= 0:
@@ -243,29 +240,6 @@ class Cache:
             self, first_line, last_line
         ):
             return []
-        if 8 <= n <= self.num_sets:
-            # Consecutive addresses with n <= num_sets map to distinct
-            # sets, so per-set outcomes are order-independent.
-            sets, hit_ways, mask = self._span_probe(first_line, last_line)
-            if not mask.any():
-                fill = self._fill
-                sets_list = sets.tolist()
-                fills = [fill[s] for s in sets_list]
-                if max(fills) < self.assoc:
-                    slots = sets * self.assoc + np.asarray(fills, dtype=np.int64)
-                    addrs = np.arange(first_line, last_line + 1, dtype=np.int64)
-                    self._tags[slots] = addrs
-                    self._stamps[slots] = np.arange(
-                        self._tick, self._tick + n, dtype=np.int64
-                    )
-                    self._tick += n
-                    where = self._where
-                    for addr, slot, set_idx in zip(
-                        range(first_line, last_line + 1), slots.tolist(), sets_list
-                    ):
-                        where[addr] = slot
-                        fill[set_idx] += 1
-                    return []
         insert = self.insert
         out: List[int] = []
         for addr in range(first_line, last_line + 1):
@@ -862,7 +836,7 @@ class MemorySystem:
     ) -> None:
         """Span-native :meth:`install_intermediate` (the writeback path).
 
-        Rides :meth:`Cache.insert_span`'s vectorized fast paths; evicted
+        Rides :meth:`Cache.insert_span`'s all-resident fast path; evicted
         lines spill to the L2 afterwards in eviction order.  Deferring
         the spills is exact: L1 insertion decisions never read L2 state,
         and these spills are the only L2 operations in the call, so their

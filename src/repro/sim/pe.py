@@ -18,11 +18,11 @@ each task costs only two events.
 Mutable PE state lives in a :class:`PEStateVector` — parallel arrays
 indexed by ``pe_id``, shared by all PEs of one accelerator — rather
 than per-instance attributes.  Task completions arrive as typed engine
-events (:meth:`Engine.post`): the drain loop batches a run of
-same-cycle completions on one PE into a single
-:meth:`PE.dispatch_events` call, which advances the whole cohort
-through the state-vector row in one pass instead of one closure
-callback per task.
+events (:meth:`Engine.post`), one :meth:`PE.dispatch_event` call each,
+and :meth:`PE._complete_task` is the only completion body.  One PE's
+completions never share a timestamp: every booking path retires its
+task through the spawn unit, which admits one task per
+``1 / unit_tasks_per_cycle`` cycles.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ class PEStateVector:
     One row per PE: pipeline-unit free times, slot occupancy, task and
     match counters, and the busy/idle slot integrals live in parallel
     arrays indexed by ``pe_id`` instead of per-PE instance attributes.
-    The cohort completion path (:meth:`PE.dispatch_events`) folds a
-    whole run of same-cycle completions into one pass over a row, and
-    metrics collection aggregates straight off the columns.  ``PE``
-    exposes its row through properties so external readers and writers
-    (invariant checkers, tests) keep the familiar per-PE view.
+    The compiled macro-step core books the pipeline-unit columns in
+    place through pinned row pointers, and metrics collection
+    aggregates straight off the columns.  ``PE`` exposes its row through
+    properties so external readers and writers (invariant checkers,
+    tests) keep the familiar per-PE view.
     """
 
     __slots__ = (
@@ -335,7 +335,7 @@ class PE:
             # Macro-step core: books the whole task pipeline in one
             # compiled call when every precondition holds, and falls
             # back to the exact per-event booking below on any escape
-            # (miss, multi-round, instrumentation).  See
+            # (cache miss, multi-round, spans overflow).  See
             # ``sim/backend/macro.py`` for the escape taxonomy.
             macro.start(self, task, now)
         else:
@@ -588,26 +588,19 @@ class PE:
     # completion (typed-event sinks for Engine.post)
     # ------------------------------------------------------------------
     def dispatch_event(self, task: SimTask) -> None:
-        """One posted completion (late-bound: instrumented PEs that
-        replace ``_complete_task`` intercept every event)."""
+        """One posted completion (late-bound, so a ``_complete_task``
+        hook on the instance sees every event)."""
         self._complete_task(task)
 
     def dispatch_events(self, tasks: List[SimTask]) -> None:
-        """A cohort of same-cycle completions on this PE, in FIFO order.
+        """Complete ``tasks`` one by one, in order.
 
-        Equivalent by construction to dispatching each task singly; the
-        batched path only folds the counter updates into one pass over
-        the state-vector row.  Instrumented PEs (invariant checker,
-        trace recorder — they install ``_complete_task`` as an instance
-        attribute) fall back to per-task dispatch so their hooks see
-        every completion.
+        The engine never calls this (it dispatches each completion on
+        its own); it stays because ``perfbench/layers.py`` wraps it by
+        name.
         """
-        if "_complete_task" in self.__dict__:
-            complete = self._complete_task
-            for task in tasks:
-                complete(task)
-            return
-        self._complete_cohort(tasks)
+        for task in tasks:
+            self._complete_task(task)
 
     def _complete_task(self, task: SimTask) -> None:
         self._integrate()
@@ -627,42 +620,3 @@ class PE:
         state.slots_used[row] -= 1
         self.policy.on_task_complete(task)
         self.kick()
-
-    def _complete_cohort(self, tasks: List[SimTask]) -> None:
-        """Complete a cohort in one pass over the state-vector row.
-
-        Per-task side effects that other components observe mid-cohort
-        — candidate-set materialization (footprint accounting), policy
-        completion hooks and the dispatch kick — stay interleaved in
-        FIFO order exactly as the per-task path runs them; only the
-        pure counter updates (tasks/matches/depth/slots) batch into
-        single row writes.  ``kick`` is idempotent within a cycle, so
-        the repeated calls preserve event ordering without cost.
-        """
-        self._integrate()
-        state = self._state
-        row = self._row
-        depth_row = state.depth_executed[row]
-        max_depth = self._max_depth
-        children = self.context.children
-        footprint_add = self.accel.footprint_add
-        on_task_complete = self.policy.on_task_complete
-        kick = self.kick
-        matches = 0
-        for task in tasks:
-            task.state = _COMPLETE
-            depth = task.depth
-            depth_row[depth] += 1
-            if depth >= max_depth:
-                matches += 1
-                task.children_vertices = []
-            else:
-                candidates = task.expansion.candidates
-                task.children_vertices = children(task.embedding, candidates)
-                footprint_add(len(candidates) * 4)
-            on_task_complete(task)
-            kick()
-        n = len(tasks)
-        state.tasks_executed[row] += n
-        state.matches[row] += matches
-        state.slots_used[row] -= n

@@ -2,12 +2,18 @@
 
 The :class:`InvariantChecker` attaches to an
 :class:`~repro.sim.accelerator.Accelerator` exactly the way
-:class:`~repro.sim.trace.TraceRecorder` does — by wrapping the PE, policy
-and memory-system entry points with counting shims.  It adds no
-simulation events and changes no timing, so an instrumented run produces
-bit-identical metrics; what it adds is an independent set of books that
-:meth:`InvariantChecker.finalize` reconciles against the simulator's own
-counters after the run.
+:class:`~repro.sim.trace.TraceRecorder` does — by wrapping each PE's
+task start/completion and the policy hooks with counting shims.  It adds
+no simulation events, changes no timing and reroutes nothing: a checked
+PE books through the same path as an unchecked one, the compiled
+macro-step core included, so a checked run produces bit-identical
+metrics.  What the checker adds is an independent set of task-flow books
+that :meth:`InvariantChecker.finalize` reconciles against the
+simulator's own counters after the run.  Memory and NoC traffic are not
+intercepted at all: the laws over them reconcile flat counters that the
+per-event path and the compiled core both update in place (cache
+hit/miss arrays, ``MemorySystem`` line counts, latency windows, the NoC
+message count).
 
 Checked laws (violation ``code`` in parentheses; the catalogue lives in
 ``docs/validation.md``):
@@ -26,15 +32,18 @@ Checked laws (violation ``code`` in parentheses; the catalogue lives in
 * PE slot occupancy stays within ``[0, execution_width]``
   (``slot-occupancy``);
 * cache accounting: L1 accesses equal intermediate line fetches, L2
-  accesses equal graph line fetches plus L1 misses, latency-window
-  samples equal windowed lines (``cache-accounting``);
+  accesses equal graph line fetches plus L1 misses, and latency-window
+  samples equal intermediate line fetches minus the task vertex fetches
+  (the one intermediate read that skips the window — counted from the
+  observed starts whose parent holds a set address)
+  (``cache-accounting``);
 * each depth's task-tree token book reconciles at every observed start
   and completion and at the end: the free count stays within
   ``[0, T]``, the free stack holds distinct tokens, the ``T - free``
   held tokens are exactly the distinct tokens in-use entries carry
   (none of them free), and every token is free once the run drained
   (``token-accounting``);
-* NoC send/receive conservation: messages sent = partition sends =
+* NoC send/receive conservation: NoC messages = partition sends =
   partition receipts (``noc-conservation``);
 * live candidate-set footprint returns to zero (``footprint``);
 * engine time never moves backwards across observed events
@@ -105,13 +114,9 @@ class InvariantChecker:
         self._done_tree_ids: Set[int] = set()
         self.partitions_received = 0
 
-        # Memory traffic (counted independently of MemorySystem).
-        self.l1_lines = 0
-        self.windowed_lines = 0
-        self.graph_lines = 0
-
-        # NoC.
-        self.noc_sends = 0
+        # Task vertex fetches: the one intermediate read that skips the
+        # L1 latency window.
+        self.vertex_lines = 0
 
         self._last_now = accel.engine.now
 
@@ -123,7 +128,6 @@ class InvariantChecker:
         for pe in accel.pes:
             checker._wrap_pe(pe)
             checker._wrap_policy(pe.policy)
-        checker._wrap_memory()
         return checker
 
     # -- wrapping ------------------------------------------------------
@@ -147,6 +151,9 @@ class InvariantChecker:
 
         def start_task(task: "SimTask"):
             self._observe_time()
+            parent = task.parent
+            if parent is not None and parent.set_address is not None:
+                self.vertex_lines += 1
             result = original_start(task)
             self.tasks_started += 1
             if not 0 <= pe.slots_used <= width:
@@ -283,54 +290,6 @@ class InvariantChecker:
                     "the run drained",
                 )
 
-    def _wrap_memory(self) -> None:
-        memory = self.accel.memory
-        original_fetch = memory.fetch_intermediate
-        original_fetch_line = memory.fetch_intermediate_line
-        original_fetch_span = memory.fetch_intermediate_span
-        original_graph = memory.fetch_graph
-        original_graph_spans = memory.fetch_graph_spans
-        original_transfer = memory.noc.transfer
-
-        def fetch_intermediate(pe_id, line_addrs, now, *, record_window=True):
-            n = len(line_addrs)
-            self.l1_lines += n
-            if record_window:
-                self.windowed_lines += n
-            return original_fetch(pe_id, line_addrs, now, record_window=record_window)
-
-        def fetch_intermediate_line(pe_id, line_addr, now):
-            self.l1_lines += 1
-            return original_fetch_line(pe_id, line_addr, now)
-
-        def fetch_intermediate_span(pe_id, first_line, last_line, now, *, record_window=True):
-            n = last_line - first_line + 1
-            self.l1_lines += n
-            if record_window:
-                self.windowed_lines += n
-            return original_fetch_span(
-                pe_id, first_line, last_line, now, record_window=record_window
-            )
-
-        def fetch_graph(pe_id, line_addrs, now):
-            self.graph_lines += len(line_addrs)
-            return original_graph(pe_id, line_addrs, now)
-
-        def fetch_graph_spans(pe_id, spans, now):
-            self.graph_lines += sum(last - first + 1 for first, last in spans)
-            return original_graph_spans(pe_id, spans, now)
-
-        def transfer(lines, ready_time):
-            self.noc_sends += 1
-            return original_transfer(lines, ready_time)
-
-        memory.fetch_intermediate = fetch_intermediate
-        memory.fetch_intermediate_line = fetch_intermediate_line
-        memory.fetch_intermediate_span = fetch_intermediate_span
-        memory.fetch_graph = fetch_graph
-        memory.fetch_graph_spans = fetch_graph_spans
-        memory.noc.transfer = transfer
-
     # -- reconciliation ------------------------------------------------
     def finalize(self, metrics: Optional["RunMetrics"] = None) -> List[Violation]:
         """Reconcile all books against the simulator; returns violations.
@@ -432,33 +391,29 @@ class InvariantChecker:
                 f"observed {self.matches_seen}",
             )
 
+        inter_lines = memory.intermediate_line_fetches
+        graph_lines = memory.graph_line_fetches
         l1_accesses = sum(c.hits + c.misses for c in memory.l1s)
         l1_misses = sum(c.misses for c in memory.l1s)
-        if not (self.l1_lines == memory.intermediate_line_fetches == l1_accesses):
+        if inter_lines != l1_accesses:
             self._violate(
                 "cache-accounting",
-                f"intermediate lines: checker={self.l1_lines}, memory counter="
-                f"{memory.intermediate_line_fetches}, L1 hits+misses={l1_accesses}",
-            )
-        if self.graph_lines != memory.graph_line_fetches:
-            self._violate(
-                "cache-accounting",
-                f"graph lines: checker={self.graph_lines}, memory counter="
-                f"{memory.graph_line_fetches}",
+                f"intermediate line fetches={inter_lines} != L1 "
+                f"hits+misses={l1_accesses}",
             )
         l2_accesses = memory.l2.hits + memory.l2.misses
-        if l2_accesses != self.graph_lines + l1_misses:
+        if l2_accesses != graph_lines + l1_misses:
             self._violate(
                 "cache-accounting",
                 f"L2 accesses={l2_accesses} != graph lines + L1 misses = "
-                f"{self.graph_lines} + {l1_misses}",
+                f"{graph_lines} + {l1_misses}",
             )
         window_samples = sum(w.samples for w in memory.l1_windows)
-        if window_samples != self.windowed_lines:
+        if window_samples != inter_lines - self.vertex_lines:
             self._violate(
                 "cache-accounting",
-                f"latency-window samples={window_samples} != windowed "
-                f"intermediate lines={self.windowed_lines}",
+                f"latency-window samples={window_samples} != intermediate "
+                f"lines - vertex fetches = {inter_lines} - {self.vertex_lines}",
             )
 
         for pe in accel.pes:
@@ -466,17 +421,12 @@ class InvariantChecker:
             if tree is not None:
                 self._check_tokens(pe.pe_id, tree, drained=True)
 
-        if not (self.noc_sends == memory.noc.messages):
+        messages = memory.noc.messages
+        if not (messages == accel.partitions_sent == self.partitions_received):
             self._violate(
                 "noc-conservation",
-                f"checker observed {self.noc_sends} NoC sends but the NoC "
-                f"counted {memory.noc.messages} messages",
-            )
-        if not (accel.partitions_sent == self.partitions_received == self.noc_sends):
-            self._violate(
-                "noc-conservation",
-                f"partitions sent={accel.partitions_sent}, received="
-                f"{self.partitions_received}, NoC sends={self.noc_sends}",
+                f"NoC messages={messages}, partitions sent="
+                f"{accel.partitions_sent}, received={self.partitions_received}",
             )
 
         if accel._footprint != 0:
@@ -499,12 +449,14 @@ class InvariantChecker:
 
     def report(self) -> str:
         """Human-readable digest of the checker's findings."""
+        memory = self.accel.memory
         head = (
             f"invariants[{self.accel.policy_name}]: "
             f"{self.tasks_completed} tasks ({self.roots_added} roots + "
             f"{self.children_spawned} spawned), "
             f"{self.tree_completions} trees, {self.matches_seen} matches, "
-            f"{self.l1_lines} L1 lines, {self.graph_lines} graph lines"
+            f"{memory.intermediate_line_fetches} L1 lines, "
+            f"{memory.graph_line_fetches} graph lines"
         )
         if not self.violations:
             return head + " — all invariants hold"

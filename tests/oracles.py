@@ -8,8 +8,8 @@ benchmarks) can diff the two:
   cache, the oracle for the flattened :class:`repro.sim.Cache`'s
   trace-equivalence tests.
 * :func:`legacy_drain` — the one-event-at-a-time drain of an
-  :class:`repro.sim.Engine` queue, the oracle for the coalescing
-  cohort drain behind :meth:`repro.sim.Engine.run`.
+  :class:`repro.sim.Engine` queue with a ``max_events`` cap, the oracle
+  for the bucket-at-a-time drain behind :meth:`repro.sim.Engine.run`.
 * :func:`unbind_macro` — per-event booking on a compiled backend, the
   reference for the macro-step core, plus :func:`inject_escapes`,
   which forces the core's escape path at chosen tasks.
@@ -99,13 +99,13 @@ class ReferenceCache:
 def legacy_drain(engine, max_events: int, until: Optional[float] = None) -> int:
     """Drain ``engine``'s queue one event at a time; returns the count.
 
-    The per-event loop the coalescing drain behind :meth:`Engine.run`
-    replaced, kept verbatim: every event runs on its own (typed events
-    as ``owner.dispatch_event(payload)``, never a batched
-    ``dispatch_events`` cohort) and is counted, stopping once
-    ``max_events`` have run — re-queueing the bucket remainder ahead of
-    any same-time events the executed callbacks scheduled — or when the
-    clock passes ``until``.
+    The per-event loop the bucket-at-a-time drain behind
+    :meth:`Engine.run` replaced, kept verbatim: every event runs on its
+    own (typed events as ``owner.dispatch_event(payload)``, as in the
+    production drain) and is counted, stopping once ``max_events`` have
+    run — re-queueing the bucket remainder ahead of any same-time events
+    the executed callbacks scheduled — or when the clock passes
+    ``until``.
     """
     executed = 0
     bound = float("inf") if until is None else until

@@ -152,12 +152,14 @@ class TestConfigKnob:
 class _Sink:
     """Typed-event owner recording how dispatch reached it."""
 
-    def __init__(self):
+    def __init__(self, order=None):
         self.single = []
         self.batches = []
+        self.order = [] if order is None else order
 
     def dispatch_event(self, payload):
         self.single.append(payload)
+        self.order.append(payload)
 
     def dispatch_events(self, payloads):
         self.batches.append(list(payloads))
@@ -173,29 +175,30 @@ class TestTypedEvents:
         assert sink.batches == []
 
     def test_consecutive_same_owner_events_batch(self):
+        """Same-owner events in one bucket still dispatch singly, in FIFO order."""
         engine = Engine()
         sink = _Sink()
         for payload in ("a", "b", "c"):
             engine.post(2.0, sink, payload)
         engine.run()
-        assert sink.batches == [["a", "b", "c"]]
-        assert sink.single == []
+        assert sink.single == ["a", "b", "c"]
+        assert sink.batches == []
 
     def test_mixed_bucket_preserves_fifo_order(self):
         engine = Engine()
-        sink, other = _Sink(), _Sink()
         order = []
+        sink, other = _Sink(order), _Sink(order)
         engine.post(1.0, sink, 1)
         engine.post(1.0, sink, 2)
         engine.at(1.0, lambda: order.append("call"))
         engine.post(1.0, sink, 3)
         engine.post(1.0, other, 4)
         engine.run()
-        # The callable splits sink's run; the owner change splits again.
-        assert sink.batches == [[1, 2]]
-        assert sink.single == [3]
+        # Two owners and a callable share one FIFO order.
+        assert order == [1, 2, "call", 3, 4]
+        assert sink.single == [1, 2, 3]
         assert other.single == [4]
-        assert order == ["call"]
+        assert sink.batches == other.batches == []
 
     def test_post_rejects_past_times(self):
         engine = Engine()
@@ -241,7 +244,7 @@ class TestPendingCounter:
 
 class TestInstrumentedDispatchFallback:
     def test_wrapped_complete_task_sees_every_event(self, tiny_graph):
-        """Instance-attribute instrumentation forces per-task dispatch."""
+        """A ``_complete_task`` hook on the instance sees every completion."""
         from repro.patterns import benchmark_schedule
         from repro.sim.accelerator import Accelerator
 

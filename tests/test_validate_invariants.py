@@ -6,6 +6,9 @@ Two halves:
   zero violations, and attaching the checker never changes the metrics;
 * mutation smoke tests — corrupt exactly one counter after (or during)
   the run and assert the checker reports exactly that violation class.
+  Every mutation runs under ``pure`` (per-event booking) and again under
+  ``cext`` (the compiled macro-step core, skipped without cffi), so each
+  law is shown to fire on the path that runs by default.
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ import json
 import pytest
 
 from repro.graph import powerlaw_configuration
-from repro.sim import SimConfig
+from repro.sim import SimConfig, backend
 from repro.sim.accelerator import Accelerator, simulate
 from repro.validate import InvariantChecker, checked_simulate
 from repro.validate.invariants import VIOLATION_CODES
 from repro.validate.oracle import ORACLE_POLICIES
+
+HAS_CEXT = backend.available_backends()["cext"][0]
 
 
 def run_mutated(graph, schedule, config, *, policy="shogun",
@@ -93,6 +98,10 @@ class TestCleanRuns:
             assert sum(
                 pe.policy.tree.op_calls[f"{op}_kernel"] for pe in accel.pes
             ) > 0
+        if accel.macro is not None:
+            # The checker observes the compiled core instead of
+            # rerouting tasks around it.
+            assert accel.macro.coverage()["drained"] > 0
 
     def test_spawn_books_balance(self, medium_er, sched_4cl):
         _, checker = checked_simulate(
@@ -104,12 +113,35 @@ class TestCleanRuns:
         )
 
 
+#: Every counter the cache-accounting law reconciles, as
+#: ``(owner from the memory system, attribute)``.
+CACHE_COUNTERS = (
+    (lambda memory: memory.l1s[0], "hits"),
+    (lambda memory: memory.l2, "misses"),
+    (lambda memory: memory.l1_windows[0], "samples"),
+    (lambda memory: memory, "intermediate_line_fetches"),
+    (lambda memory: memory, "graph_line_fetches"),
+)
+
+
 class TestMutations:
-    """Each test corrupts one counter and expects exactly one law to fire."""
+    """Each test corrupts one counter and expects exactly one law to fire.
+
+    Runs per-event (``pure``); :class:`TestMutationsCompiled` reruns every
+    test on the compiled macro-step core.
+    """
+
+    backend_name = "pure"
+
+    @pytest.fixture(autouse=True)
+    def _restore_backend(self):
+        before = backend.active()
+        yield
+        backend._install(before)
 
     @pytest.fixture()
     def base(self, small_er, sched_tc):
-        return small_er, sched_tc, SimConfig(num_pes=2)
+        return small_er, sched_tc, SimConfig(num_pes=2, backend=self.backend_name)
 
     def test_task_conservation(self, base):
         def drop_completion(accel, checker):
@@ -126,11 +158,13 @@ class TestMutations:
         assert fired(checker) == {"match-conservation"}
 
     def test_cache_accounting(self, base):
-        def double_count_hit(accel, checker):
-            accel.memory.l1s[0].hits += 1
+        for owner_of, attr in CACHE_COUNTERS:
+            def bump(accel, checker):
+                owner = owner_of(accel.memory)
+                setattr(owner, attr, getattr(owner, attr) + 1)
 
-        checker = run_mutated(*base, post_run=double_count_hit)
-        assert fired(checker) == {"cache-accounting"}
+            checker = run_mutated(*base, post_run=bump)
+            assert fired(checker) == {"cache-accounting"}, attr
 
     def test_noc_conservation(self, base):
         def phantom_message(accel, checker):
@@ -235,3 +269,10 @@ class TestMutations:
             "footprint", "time-monotonic",
         ]
         assert set(mutants) == set(VIOLATION_CODES)
+
+
+@pytest.mark.skipif(not HAS_CEXT, reason="the cext backend did not build here")
+class TestMutationsCompiled(TestMutations):
+    """Every mutation again, booked by the compiled macro-step core."""
+
+    backend_name = "cext"
