@@ -533,13 +533,10 @@ class TestKernelTaskTree:
         pool drains — the fruitless token-validity stall scans."""
         compiled, pure = kernel_sets
         vertices = np.arange(64, dtype=np.int64)
-        out = np.zeros(256, dtype=np.int64)
 
         def drain(state, ops):
-            while True:
-                n = ops.select(0, 8, out)
-                if n == 0:
-                    return
+            while ops.select(0, 8):
+                pass
 
         sides = {}
         for name, kernels in (("compiled", compiled), ("pure", pure)):

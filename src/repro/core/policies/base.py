@@ -29,6 +29,8 @@ from ..task import SimTask, TaskState
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...sim.pe import PE
 
+_READY = TaskState.READY
+
 
 class SchedulingPolicy(abc.ABC):
     """Base class for task-scheduling schemes (Table 1)."""
@@ -83,16 +85,8 @@ class SchedulingPolicy(abc.ABC):
         """Create a READY child task extending ``parent`` with ``vertex``."""
         vertex = int(vertex)  # candidate spans are int64 arrays
         embedding = (parent.embedding + (vertex,)) if parent is not None else (vertex,)
-        task = SimTask(
-            depth=depth,
-            vertex=vertex,
-            embedding=embedding,
-            parent=parent,
-            tree=tree,
-            child_index=child_index,
-        )
-        task.state = TaskState.READY
-        return task
+        # Positional: this runs once per task of every non-Shogun policy.
+        return SimTask(depth, vertex, embedding, parent, tree, child_index, _READY)
 
     def _assign_buffer(self, task: SimTask, buffer_index: int) -> None:
         """Bind a task's output candidate set to a preallocated buffer."""

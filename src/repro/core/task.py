@@ -62,7 +62,6 @@ class SimTask:
     embedding: Tuple[int, ...]
     parent: Optional["SimTask"]
     tree: int
-    task_id: int = field(default_factory=lambda: next(_task_ids))
     #: Position of ``vertex`` in the parent's candidate list.  The task
     #: tree fetches the vertex from that set when spawning/extending
     #: (Wait_Vertex, Figure 6), so this indexes the cache line the fetch
@@ -71,28 +70,29 @@ class SimTask:
     child_index: int = 0
 
     # Scheduling state ---------------------------------------------------
+    # The hot construction sites (the task tree's ``select_batch`` and
+    # ``SchedulingPolicy._make_task``) pass these positionally, in this
+    # order: keyword arguments cost about twice as much per task.
     state: TaskState = TaskState.READY
     token: Optional[int] = None
     set_address: Optional[int] = None
+    #: Global index of the task-tree bunch holding this entry (an index
+    #: into the tree's struct-of-arrays state; ``None`` for tasks built
+    #: outside the tree).
+    bunch: Optional[int] = None
+    #: Global entry-slot index inside the task tree's SoA state (-1 for
+    #: tasks that never occupied an entry).
+    slot: int = -1
 
     # Filled at execution time -------------------------------------------
     expansion: Optional[Expansion] = None
     children_vertices: Optional[List[int]] = None
     next_child: int = 0
-    live_children: int = 0
-
-    # Simulator back-pointers (hot-path bookkeeping) ----------------------
-    #: Global index of the task-tree bunch currently holding this entry
-    #: (an index into the tree's struct-of-arrays state; ``None`` for
-    #: tasks built outside the tree).
-    bunch: Optional[int] = None
-    #: Global entry-slot index inside the task tree's SoA state (-1 for
-    #: tasks that never occupied an entry).
-    slot: int = -1
     #: Materialized ancestor candidate sets visible to this task's
     #: children, cached so siblings share one list instead of each child
     #: re-walking the parent chain.
     child_sets: Optional[List[object]] = None
+    task_id: int = field(default_factory=lambda: next(_task_ids))
 
     # ------------------------------------------------------------------
     @property

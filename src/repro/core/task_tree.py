@@ -43,11 +43,16 @@ only path, with or without a trace recorder or invariant checker
 attached.
 
 Python :class:`SimTask` objects are materialized *lazily*: a Ready entry
-is just an array row until the scheduler picks it.  Executing and
-Resting tasks are real objects (the PE pipeline and the split/merge
-machinery need them).  The cold edges — recycle propagation, waiter
-refill, partition intake — stay interpreted over the same arrays, so
-there is exactly one source of truth.
+is just an array row until the scheduler picks it.  The ``select`` op
+hands back one ``(slot, vertex, child_index, token, tree)`` record per
+pick as plain Python ints, and :meth:`TaskTree.select_batch` builds the
+Executing tasks straight from those records.  Executing and Resting
+tasks are real objects (the PE pipeline and the split/merge machinery
+need them).  The cold edges — recycle propagation, waiter refill,
+partition intake — stay interpreted over the same arrays, so there is
+exactly one source of truth.  Interpreted reads and writes of the
+control block go through a memoryview (``TaskTree._ctl``), never a
+numpy scalar.
 
 A completion cannot soundly fuse the *next* selection into the same op
 call: selections happen at dispatch events, completions at completion
@@ -70,6 +75,10 @@ from ..errors import SimulationError
 from .task import SimTask, TaskState
 from .tokens import ArrayTokenPool
 
+_EXECUTING = TaskState.EXECUTING
+_RESTING = TaskState.RESTING
+_IDLE = TaskState.IDLE
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.pe import PE
 
@@ -85,7 +94,7 @@ CTL_WAITS = 7       # diagnostic: spawns queued for an idle bunch
 CTL_WORDS = 8
 
 #: ``complete`` op transition results (shared with the backend tree ops).
-DONE_SPAWNED = 0    # children admitted into out[0] (count in out[1])
+DONE_SPAWNED = 0    # children admitted into ops.done[0] (count in done[1])
 DONE_WAITING = 1    # no idle child bunch: parent queued
 DONE_EXTENDED = 2   # entry + token reused for the next candidate
 DONE_IDLED = 3      # entry idled, bunch still has active entries
@@ -214,8 +223,13 @@ class TaskTree:
 
         #: Parent task of each in-use bunch (``None`` for root bunches).
         self._bunch_parent: List[Optional[SimTask]] = [None] * s.nb
-        #: Static depth-0 bunch indices (geometry never changes).
+        #: Static depth-0 bunch indices and per-bunch depths (geometry
+        #: never changes).
         self._root_range = range(int(s.d_start[0]), int(s.d_end[0]))
+        self._b_depth: List[int] = s.b_depth.tolist()
+        #: The control block as plain Python ints (a window on ``s.ctl``,
+        #: which the compiled ops pin).
+        self._ctl = memoryview(s.ctl)
 
         # Address tokens gate output-set storage; leaf tasks produce none.
         # The interpreted cold edges (partition intake, recycle) take and
@@ -244,12 +258,10 @@ class TaskTree:
         #: Tree-op calls per decision (``repro profile``'s scheduler
         #: section).
         self.op_calls = {"select_kernel": 0, "fill_kernel": 0, "complete_kernel": 0}
-        self._out_slots = np.zeros(max(16, s.nb * s.cap), dtype=np.int64)
-        self._out2 = np.zeros(2, dtype=np.int64)
-        self._empty_children = np.zeros(0, dtype=np.int64)
         #: ``select``/``fill``/``complete`` bound over ``state`` by the
-        #: active kernel backend.
+        #: active kernel backend; ``done`` is the ops' own spawn result.
         self._ops = pe.memory._kernels.tree_bind(s)
+        self._done = self._ops.done
 
     # ------------------------------------------------------------------
     # root / partition intake
@@ -286,7 +298,7 @@ class TaskTree:
         s.ring[slot] = slot
         s.ring_head[b] = 0
         s.ring_len[b] = 1
-        s.ctl[CTL_READY] += 1
+        self._ctl[CTL_READY] += 1
         self._live_trees.add(tree_id)
 
     def add_partition(
@@ -376,43 +388,37 @@ class TaskTree:
         the first failure: a selection only reads and writes tree/token
         state, which bookings never touch, so per-call order (including
         token-stall accounting) is preserved bit for bit.
+
+        The op returns a flat list of ``(slot, vertex, child_index,
+        token, tree)`` records, one per pick; each becomes an Executing
+        :class:`SimTask` (depth from the static bunch layout, output
+        address from the token's preallocated buffer).
         """
-        if limit <= 0 or not self.state.ctl[CTL_READY]:
+        if limit <= 0 or not self._ctl[CTL_READY]:
             return []
         self.op_calls["select_kernel"] += 1
-        out = self._out_slots
-        n = self._ops.select(1 if conservative else 0, limit, out)
-        materialize = self._materialize
-        return [materialize(int(out[i])) for i in range(n)]
-
-    def _materialize(self, slot: int) -> SimTask:
-        """Build the Executing :class:`SimTask` for a just-scheduled slot."""
-        s = self.state
-        b = slot // s.cap
-        parent = self._bunch_parent[b]
-        v = int(s.e_vertex[slot])
-        depth = int(s.b_depth[b])
-        task = SimTask(
-            depth=depth,
-            vertex=v,
-            embedding=(parent.embedding + (v,)) if parent is not None else (v,),
-            parent=parent,
-            tree=int(s.b_tree[b]),
-            child_index=int(s.e_child_index[slot]),
-        )
-        task.state = TaskState.EXECUTING
-        task.bunch = b
-        task.slot = slot
-        token = int(s.e_token[slot])
-        if token >= 0:
-            task.token = token
-            addrs = self._addr[depth]
-            task.set_address = (
-                addrs[token]
-                if token < len(addrs)
-                else self.pe.buffer_map.address(depth, token)
-            )
-        return task
+        records = self._ops.select(1 if conservative else 0, limit)
+        cap = self.state.cap
+        bunch_parent = self._bunch_parent
+        b_depth = self._b_depth
+        addr = self._addr
+        tasks = []
+        it = iter(records)
+        for slot, v, child_index, token, tree in zip(it, it, it, it, it):
+            b = slot // cap
+            parent = bunch_parent[b]
+            depth = b_depth[b]
+            if token >= 0:
+                set_address = addr[depth][token]
+            else:
+                token = set_address = None
+            tasks.append(SimTask(
+                depth, v,
+                (parent.embedding + (v,)) if parent is not None else (v,),
+                parent, tree, child_index, _EXECUTING, token, set_address,
+                b, slot,
+            ))
+        return tasks
 
     # ------------------------------------------------------------------
     # completion, spawning, extending (Figures 5/6)
@@ -424,36 +430,45 @@ class TaskTree:
         parks a parent that found no idle child bunch and runs the cold
         recycle edge of a drained bunch.
         """
-        b = self._bunch_of(task)
+        b = task.bunch
+        if b is None:
+            b = self._bunch_of(task)
         self.op_calls["complete_kernel"] += 1
-        out = self._out2
         cv = task.children_vertices
         if cv is not None and len(cv):
             first = task.next_child
             action = self._ops.complete(
                 task.slot, b, 1, _span(cv), first, len(cv), 0, 0, 0,
-                1 if task.tree in self._quiesced_trees else 0, out,
+                1 if task.tree in self._quiesced_trees else 0,
             )
-            task.state = TaskState.RESTING
+            task.state = _RESTING
             if action == DONE_SPAWNED:
-                self._bunch_parent[int(out[0])] = task
-                task.next_child = first + int(out[1])
+                done = self._done
+                self._bunch_parent[done[0]] = task
+                task.next_child = first + done[1]
             elif action == DONE_WAITING:
                 self._waiting_spawn[task.depth + 1].append(task)
             else:
                 raise SimulationError("spawning with no unexplored candidates")
             return
-        self._retire_set(task)
+        # No children: the task's candidate set (if any) is dead.
+        expansion = task.expansion
+        if expansion is not None:
+            self.pe.footprint_remove(len(expansion.candidates) * 4)
         parent = task.parent
         unexplored = ext_vertex = ext_position = 0
         if parent is not None:
-            unexplored = parent.unexplored
-            if unexplored > 0:
+            siblings = parent.children_vertices
+            if siblings is not None:
                 ext_position = parent.next_child
-                ext_vertex = int(parent.children_vertices[ext_position])
+                unexplored = len(siblings) - ext_position
+                if unexplored > 0:
+                    # Passed as is: both ops take a numpy or a Python
+                    # int (split donors carry lists).
+                    ext_vertex = siblings[ext_position]
         action = self._ops.complete(
-            task.slot, b, 0, self._empty_children, 0, 0,
-            unexplored, ext_vertex, ext_position, 0, out,
+            task.slot, b, 0, None, 0, 0,
+            unexplored, ext_vertex, ext_position, 0,
         )
         if action == DONE_EXTENDED:
             parent.next_child = ext_position + 1
@@ -462,7 +477,7 @@ class TaskTree:
         else:
             # DONE_IDLED / DONE_RECYCLE: the op released the entry token.
             task.token = None
-        task.state = TaskState.IDLE
+        task.state = _IDLE
         if action == DONE_RECYCLE:
             self._recycle(b)
 
@@ -492,7 +507,7 @@ class TaskTree:
         b = self._idle_bunch(child_depth)
         task.state = TaskState.RESTING
         if b is None:
-            self.state.ctl[CTL_WAITS] += 1
+            self._ctl[CTL_WAITS] += 1
             self._waiting_spawn[child_depth].append(task)
             return
         self._fill_bunch(task, b)
@@ -534,7 +549,7 @@ class TaskTree:
             cap = s.cap
             s.ring[b * cap + (int(s.ring_head[b]) + int(s.ring_len[b])) % cap] = slot
             s.ring_len[b] += 1
-            s.ctl[CTL_READY] += 1
+            self._ctl[CTL_READY] += 1
             return
         # No candidate to extend onto: the entry idles.
         if task.token is not None:
@@ -547,11 +562,6 @@ class TaskTree:
             raise SimulationError("bunch active count underflow")
         if s.b_active[b] == 0:
             self._recycle(b)
-
-    def _retire_set(self, task: SimTask) -> None:
-        """The task's candidate set (if any) is dead; drop its footprint."""
-        if task.expansion is not None:
-            self.pe.footprint_remove(len(task.expansion.candidates) * 4)
 
     def _recycle(self, b: int) -> None:
         """Recycle a drained bunch and propagate subtree completion.
@@ -572,7 +582,7 @@ class TaskTree:
         s.b_quiesced[b] = 0
         s.ring_head[b] = 0
         s.ring_len[b] = 0
-        ctl = s.ctl
+        ctl = self._ctl
         if ctl[CTL_LAST_BUNCH] == b:
             ctl[CTL_LAST_BUNCH] = -1
         if ctl[CTL_EXEC_BUNCH] == b:
@@ -595,7 +605,8 @@ class TaskTree:
             )
         # Parent leaves Resting: its candidate set is fully explored.
         parent_bunch = self._bunch_of(parent)
-        self._retire_set(parent)
+        if parent.expansion is not None:
+            self.pe.footprint_remove(len(parent.expansion.candidates) * 4)
         self._extend_or_idle(parent, parent_bunch)
 
     # ------------------------------------------------------------------
@@ -613,26 +624,26 @@ class TaskTree:
         """
         s = self.state
         if not self._quiesced_trees:
-            return int(s.ctl[CTL_READY])
+            return self._ctl[CTL_READY]
         mask = (s.ring_len > 0) & (s.b_quiesced == 0)
         return int(s.ring_len[mask].sum())
 
     def executing_count(self) -> int:
         """Tasks currently in the PE pipeline (SoA counter)."""
-        return int(self.state.ctl[CTL_EXECUTING])
+        return self._ctl[CTL_EXECUTING]
 
     #: Diagnostic counters (read by metrics collection) — SoA-backed.
     @property
     def spawn_waits(self) -> int:
-        return int(self.state.ctl[CTL_WAITS])
+        return self._ctl[CTL_WAITS]
 
     @property
     def token_stalls(self) -> int:
-        return int(self.state.ctl[CTL_STALLS])
+        return self._ctl[CTL_STALLS]
 
     @property
     def tasks_scheduled(self) -> int:
-        return int(self.state.ctl[CTL_SCHEDULED])
+        return self._ctl[CTL_SCHEDULED]
 
     def live_tree_ids(self) -> List[int]:
         """Identifiers of live (possibly quiesced) trees."""
@@ -701,7 +712,7 @@ class TaskTree:
             for j in reversed(positions):
                 slot = self._ring_delete(b, j)
                 s.b_active[b] -= 1
-                s.ctl[CTL_READY] -= 1
+                self._ctl[CTL_READY] -= 1
                 pool.append((int(s.e_child_index[slot]), int(s.e_vertex[slot])))
         pool.sort()
         task.children_vertices = explored

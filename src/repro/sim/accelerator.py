@@ -86,9 +86,9 @@ class Accelerator:
             (base_addrs + graph.degrees * VERTEX_BYTES - 1) // line
         ).tolist()
         factory = policy_factory(policy)
-        # Shared struct-of-arrays PE state: every PE operates on its row,
-        # metrics collection sweeps the columns.
-        self.pe_state = PEStateVector(config.num_pes, schedule.depth)
+        # The pipeline-unit columns the macro-step core books in place;
+        # every PE operates on its row.
+        self.pe_state = PEStateVector(config.num_pes)
         self.pes: List[PE] = [PE(i, self, factory) for i in range(config.num_pes)]
         # Macro-step engine core: binds every PE's fast path when the
         # active backend is compiled (None under pure = per-event
@@ -248,7 +248,6 @@ class Accelerator:
         total_iu_busy = 0.0
         total_busy_slots = 0.0
         total_idle_with_work = 0.0
-        state = self.pe_state
         for pe in self.pes:
             pe._integrate()
             i = pe.pe_id
@@ -256,18 +255,18 @@ class Accelerator:
             window = self.memory.l1_windows[i]
             pm = PEMetrics(
                 pe_id=i,
-                tasks_executed=int(state.tasks_executed[i]),
-                matches=int(state.matches[i]),
+                tasks_executed=pe.tasks_executed,
+                matches=pe.matches,
                 trees_completed=pe.policy.trees_completed,
-                busy_slot_cycles=float(state.busy_slot_cycles[i]),
-                idle_with_work_cycles=float(state.idle_with_work_cycles[i]),
-                finish_cycle=float(state.finish_cycle[i]),
+                busy_slot_cycles=pe._busy_slot_cycles,
+                idle_with_work_cycles=pe._idle_with_work_cycles,
+                finish_cycle=pe.finish_cycle,
                 iu_busy_cycles=pe.iu_pool.busy_cycles,
                 iu_utilization=pe.iu_pool.utilization(cycles),
                 l1_hits=l1.hits,
                 l1_misses=l1.misses,
                 l1_avg_latency=window.lifetime_average,
-                tasks_per_depth=[int(n) for n in state.depth_executed[i]],
+                tasks_per_depth=list(pe.depth_executed),
             )
             policy = pe.policy
             if isinstance(policy, ShogunPolicy):

@@ -34,7 +34,10 @@ Selection is process-global: activating a backend rebinds the
 ``setops`` implementation globals and the kernel set that
 ``MemorySystem`` instances consult.  Simulations are single-threaded
 and activation happens at ``Accelerator`` construction, so a process
-mixing configs simply switches before each run.
+mixing configs simply switches before each run.  Simulations running
+at once in threads of one process (the in-process cell executor) share
+the active kernel set, which keeps its scratch state per thread: the C
+calls release the GIL.
 """
 
 from __future__ import annotations

@@ -15,9 +15,12 @@ every shared resource (pipeline units, L2 port, DRAM channels, IU
 servers) is a booked-until-time model, so contention is preserved while
 each task costs only two events.
 
-Mutable PE state lives in a :class:`PEStateVector` — parallel arrays
-indexed by ``pe_id``, shared by all PEs of one accelerator — rather
-than per-instance attributes.  Task completions arrive as typed engine
+Only the pipeline-unit free times live in numpy storage — a
+:class:`PEStateVector` shared by all PEs of one accelerator — because
+the compiled macro-step core books them in place through pinned
+pointers; each PE reads and writes its row through memoryviews bound
+once, so interpreted code sees plain Python floats.  Every other
+counter is a plain PE attribute.  Task completions arrive as typed engine
 events (:meth:`Engine.post`), one :meth:`PE.dispatch_event` call each,
 and :meth:`PE._complete_task` is the only completion body.  One PE's
 completions never share a timestamp: every booking path retires its
@@ -49,58 +52,25 @@ _COMPLETE = TaskState.COMPLETE
 
 
 class PEStateVector:
-    """Struct-of-arrays mutable state for all PEs of one accelerator.
+    """The pipeline-unit columns the compiled macro-step core books.
 
-    One row per PE: pipeline-unit free times, slot occupancy, task and
-    match counters, and the busy/idle slot integrals live in parallel
-    arrays indexed by ``pe_id`` instead of per-PE instance attributes.
-    The compiled macro-step core books the pipeline-unit columns in
-    place through pinned row pointers, and metrics collection
-    aggregates straight off the columns.  ``PE`` exposes its row through
-    properties so external readers and writers (invariant checkers,
-    tests) keep the familiar per-PE view.
+    One ``float64`` column per pipeline unit (decode, dispatch, issue,
+    spawn), one row per PE.  These are the only PE state in numpy
+    storage: the cext ``macro_bind`` pins a pointer to each PE's row and
+    books stages in place, while the PE reads and writes the same row
+    through memoryviews.  Counters nothing compiled touches are plain
+    :class:`PE` attributes.
     """
 
-    __slots__ = (
-        "num_pes",
-        "decode_free",
-        "dispatch_free",
-        "issue_free",
-        "spawn_free",
-        "slots_used",
-        "tasks_executed",
-        "matches",
-        "multi_round_tasks",
-        "finish_cycle",
-        "last_integrate",
-        "busy_slot_cycles",
-        "idle_with_work_cycles",
-        "depth_executed",
-    )
+    __slots__ = ("num_pes", "decode_free", "dispatch_free", "issue_free", "spawn_free")
 
-    def __init__(self, num_pes: int, depth: int) -> None:
+    def __init__(self, num_pes: int) -> None:
         self.num_pes = num_pes
-        # Pipeline units: one task entry per cycle each.  Numpy storage
-        # (rather than Python lists) lets the compiled macro-step core
-        # pin per-PE element pointers and book stages without a Python
-        # round trip; interpreted readers cast on access so Python-float
-        # arithmetic stays exact on the fallback paths.
+        # Pipeline units: one task entry per cycle each.
         self.decode_free = np.zeros(num_pes, dtype=np.float64)
         self.dispatch_free = np.zeros(num_pes, dtype=np.float64)
         self.issue_free = np.zeros(num_pes, dtype=np.float64)
         self.spawn_free = np.zeros(num_pes, dtype=np.float64)
-        self.slots_used = np.zeros(num_pes, dtype=np.int64)
-        self.tasks_executed = np.zeros(num_pes, dtype=np.int64)
-        self.matches = np.zeros(num_pes, dtype=np.int64)
-        # Tasks whose working set exceeded the SPM share (ran >1 round).
-        # Diagnostic only — not part of RunMetrics.
-        self.multi_round_tasks = np.zeros(num_pes, dtype=np.int64)
-        self.finish_cycle = np.zeros(num_pes, dtype=np.float64)
-        # Slot-occupancy integrals.
-        self.last_integrate = np.zeros(num_pes, dtype=np.float64)
-        self.busy_slot_cycles = np.zeros(num_pes, dtype=np.float64)
-        self.idle_with_work_cycles = np.zeros(num_pes, dtype=np.float64)
-        self.depth_executed = np.zeros((num_pes, depth), dtype=np.int64)
 
 
 class PE:
@@ -137,9 +107,29 @@ class PE:
         if state is None or pe_id >= state.num_pes:
             # Stand-alone construction (unit tests with a stub accel):
             # a private vector holding just this PE's row.
-            state = PEStateVector(pe_id + 1, self.schedule.depth)
-        self._state = state
+            state = PEStateVector(pe_id + 1)
         self._row = pe_id
+        # This PE's row of each pipeline column as a one-element
+        # memoryview over the pinned storage: plain Python floats in
+        # and out, no numpy scalar boxing.
+        row = slice(pe_id, pe_id + 1)
+        self._decode_free = memoryview(state.decode_free)[row]
+        self._dispatch_free = memoryview(state.dispatch_free)[row]
+        self._issue_free = memoryview(state.issue_free)[row]
+        self._spawn_free = memoryview(state.spawn_free)[row]
+
+        # Per-PE counters and slot-occupancy integrals.
+        self.slots_used = 0
+        self.tasks_executed = 0
+        self.matches = 0
+        # Tasks whose working set exceeded the SPM share (ran >1 round).
+        # Diagnostic only — not part of RunMetrics.
+        self.multi_round_tasks = 0
+        self.finish_cycle = 0.0
+        self.last_integrate = 0.0
+        self._busy_slot_cycles = 0.0
+        self._idle_with_work_cycles = 0.0
+        self.depth_executed: List[int] = [0] * self.schedule.depth
 
         # Hot-path constants (attribute chains hoisted out of the
         # per-task booking loop).
@@ -173,80 +163,20 @@ class PE:
         self._select_many = getattr(self.policy, "select_tasks", None)
 
     # ------------------------------------------------------------------
-    # state-vector row views (external readers/writers: invariants,
-    # traces, metrics collection, tests).  Hot paths below index the
-    # shared arrays directly instead of going through these.
-    # ------------------------------------------------------------------
-    @property
-    def slots_used(self) -> int:
-        return int(self._state.slots_used[self._row])
-
-    @slots_used.setter
-    def slots_used(self, value: int) -> None:
-        self._state.slots_used[self._row] = value
-
-    @property
-    def tasks_executed(self) -> int:
-        return int(self._state.tasks_executed[self._row])
-
-    @tasks_executed.setter
-    def tasks_executed(self, value: int) -> None:
-        self._state.tasks_executed[self._row] = value
-
-    @property
-    def matches(self) -> int:
-        return int(self._state.matches[self._row])
-
-    @matches.setter
-    def matches(self, value: int) -> None:
-        self._state.matches[self._row] = value
-
-    @property
-    def multi_round_tasks(self) -> int:
-        return int(self._state.multi_round_tasks[self._row])
-
-    @multi_round_tasks.setter
-    def multi_round_tasks(self, value: int) -> None:
-        self._state.multi_round_tasks[self._row] = value
-
-    @property
-    def finish_cycle(self) -> float:
-        return float(self._state.finish_cycle[self._row])
-
-    @finish_cycle.setter
-    def finish_cycle(self, value: float) -> None:
-        self._state.finish_cycle[self._row] = value
-
-    @property
-    def depth_executed(self) -> np.ndarray:
-        """This PE's per-depth task counts (a live row of the vector)."""
-        return self._state.depth_executed[self._row]
-
-    @property
-    def _busy_slot_cycles(self) -> float:
-        return float(self._state.busy_slot_cycles[self._row])
-
-    @property
-    def _idle_with_work_cycles(self) -> float:
-        return float(self._state.idle_with_work_cycles[self._row])
-
-    # ------------------------------------------------------------------
     # accounting helpers
     # ------------------------------------------------------------------
     def _integrate(self) -> None:
         now = self.engine.now
-        state = self._state
-        row = self._row
-        dt = now - float(state.last_integrate[row])
+        dt = now - self.last_integrate
         if dt <= 0:
             return
-        used = int(state.slots_used[row])
-        state.busy_slot_cycles[row] += used * dt
+        used = self.slots_used
+        self._busy_slot_cycles += used * dt
         if self.policy.has_work():
             idle_slots = self.config.execution_width - used
             if idle_slots > 0:
-                state.idle_with_work_cycles[row] += idle_slots * dt
-        state.last_integrate[row] = now
+                self._idle_with_work_cycles += idle_slots * dt
+        self.last_integrate = now
 
     def recent_iu_utilization(self) -> float:
         """IU utilization over the last completed monitor epoch."""
@@ -270,7 +200,7 @@ class PE:
 
     def on_tree_finished(self) -> None:
         """Policy callback: one assigned search tree fully explored."""
-        self._state.finish_cycle[self._row] = self.engine.now
+        self.finish_cycle = self.engine.now
         self.kick()
 
     # ------------------------------------------------------------------
@@ -285,26 +215,23 @@ class PE:
 
     def _dispatch(self) -> None:
         self._kick_pending = False
-        state = self._state
-        row = self._row
         # Guarded call: a completion at this cycle already integrated.
-        if self.engine.now > state.last_integrate[row]:
+        if self.engine.now > self.last_integrate:
             self._integrate()
         self.accel.feed_roots(self)
         width = self.config.execution_width
-        slots = state.slots_used
         select_many = self._select_many
         if select_many is not None:
             # Equivalent to the per-slot loop: bookings never mutate
             # tree state, so one batch selection drains all free slots,
             # stopping (like the loop) at the first failed selection.
-            free = int(width - slots[row])
+            free = width - self.slots_used
             if free > 0:
                 for task in select_many(free):
                     self._start_task(task)
         else:
             select_task = self.policy.select_task
-            while slots[row] < width:
+            while self.slots_used < width:
                 task = select_task()
                 if task is None:
                     break
@@ -312,10 +239,10 @@ class PE:
         self.accel.check_done()
 
     def _enter_unit(self, name: str, at: float) -> float:
-        free_times = getattr(self._state, name + "_free")
-        free = float(free_times[self._row])
+        unit = getattr(self, "_" + name + "_free")
+        free = unit[0]
         start = at if at >= free else free
-        free_times[self._row] = start + self._unit_interval
+        unit[0] = start + self._unit_interval
         return start
 
     # ------------------------------------------------------------------
@@ -323,12 +250,10 @@ class PE:
     # ------------------------------------------------------------------
     def _start_task(self, task: SimTask) -> None:
         now = self.engine.now
-        state = self._state
-        row = self._row
         # Guarded call: the dispatch pass at this cycle already integrated.
-        if now > state.last_integrate[row]:
+        if now > self.last_integrate:
             self._integrate()
-        state.slots_used[row] += 1
+        self.slots_used += 1
         task.state = _EXECUTING
         macro = self._macro
         if macro is not None:
@@ -367,17 +292,17 @@ class PE:
         The common front of every booking path; returns the time the
         task leaves the dispatch unit with its vertex at hand.
         """
-        state = self._state
-        row = self._row
         config = self.config
         interval = self._unit_interval
-        free = float(state.decode_free[row])
+        unit = self._decode_free
+        free = unit[0]
         start = now if now >= free else free
-        state.decode_free[row] = start + interval
+        unit[0] = start + interval
         t = start + config.decode_cycles
-        free = float(state.dispatch_free[row])
+        unit = self._dispatch_free
+        free = unit[0]
         start = t if t >= free else free
-        state.dispatch_free[row] = start + interval
+        unit[0] = start + interval
         t = start + config.dispatch_cycles
 
         # Fetching this task's vertex touched one line of the parent's
@@ -391,12 +316,11 @@ class PE:
 
     def _book_leaf(self, task: SimTask, t: float) -> None:
         """Leaf task: report the match, no set operation."""
-        state = self._state
-        row = self._row
-        free = float(state.spawn_free[row])
+        unit = self._spawn_free
+        free = unit[0]
         at = t + self.config.leaf_cycles
         start = at if at >= free else free
-        state.spawn_free[row] = start + self._unit_interval
+        unit[0] = start + self._unit_interval
         self.engine.post(start + self._post_spawn_cycles, self, task)
 
     def _derive(self, task: SimTask):
@@ -455,8 +379,6 @@ class PE:
         total_lines: int,
     ) -> None:
         """Fetch, issue and FU stages of a derived non-leaf task."""
-        state = self._state
-        row = self._row
         memory = self.memory
         interval = self._unit_interval
         if total_lines <= self.spm_share:
@@ -469,12 +391,13 @@ class PE:
             )
             t_graph = memory.fetch_graph_spans(self.pe_id, graph_spans, t) if graph_spans else t
             ready = t_inter if t_inter >= t_graph else t_graph
-            free = float(state.issue_free[row])
+            unit = self._issue_free
+            free = unit[0]
             start = ready if ready >= free else free
-            state.issue_free[row] = start + interval
+            unit[0] = start + interval
             t = self._iu_submit(segments, start + 1.0)
         else:
-            state.multi_round_tasks[row] += 1
+            self.multi_round_tasks += 1
             rounds = -(-total_lines // self.spm_share)
             for r in range(rounds):
                 ichunk = (
@@ -500,11 +423,10 @@ class PE:
             self.memory.install_intermediate_span(self.pe_id, out_first, out_last)
             wb = out_count / self.config.fetch_ports
             t += wb if wb > 1.0 else 1.0
-        state = self._state
-        row = self._row
-        free = float(state.spawn_free[row])
+        unit = self._spawn_free
+        free = unit[0]
         start = t if t >= free else free
-        state.spawn_free[row] = start + self._unit_interval
+        unit[0] = start + self._unit_interval
         self.engine.post(start + self._post_spawn_cycles, self, task)
 
     def _ancestor_sets(self, task: SimTask) -> List[Optional[object]]:
@@ -605,18 +527,17 @@ class PE:
     def _complete_task(self, task: SimTask) -> None:
         self._integrate()
         task.state = _COMPLETE
-        state = self._state
-        row = self._row
-        state.tasks_executed[row] += 1
-        state.depth_executed[row][task.depth] += 1
-        if task.depth >= self._max_depth:
-            state.matches[row] += 1
+        self.tasks_executed += 1
+        depth = task.depth
+        self.depth_executed[depth] += 1
+        if depth >= self._max_depth:
+            self.matches += 1
             task.children_vertices = []
         else:
             task.children_vertices = self.context.children(
                 task.embedding, task.expansion.candidates
             )
             self.footprint_add(len(task.expansion.candidates) * 4)
-        state.slots_used[row] -= 1
+        self.slots_used -= 1
         self.policy.on_task_complete(task)
         self.kick()

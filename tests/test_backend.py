@@ -7,6 +7,8 @@ across backends lives in ``tests/test_backend_parity.py``.
 
 from __future__ import annotations
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -257,3 +259,55 @@ class TestInstrumentedDispatchFallback:
         pe._complete_task = lambda task: (seen.append(task), original(task))[1]
         metrics = accel.run()
         assert len(seen) == metrics.tasks_executed
+
+
+class TestThreadedSimulations:
+    """Simulations in threads of one process (the in-process cell
+    executor) share the kernel set; the C calls release the GIL, so the
+    set's scratch state must not leak between them."""
+
+    @pytest.mark.skipif(
+        not backend.available_backends()["cext"][0],
+        reason="the cext backend did not build here",
+    )
+    def test_concurrent_runs_match_sequential(self):
+        from repro.graph import load_dataset
+        from repro.patterns import benchmark_schedule
+        from repro.sim import simulate
+
+        config = SimConfig(backend="cext")
+        schedule = benchmark_schedule("tc")
+        cells = [
+            (load_dataset(code, scale=0.05), policy)
+            for code in ("wi", "as")
+            for policy in ("bfs", "shogun")
+        ]
+        expected = [
+            simulate(g, schedule, policy=p, config=config).to_dict()
+            for g, p in cells
+        ]
+        # Three threads on two cores, switching often, for six rounds.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(6):
+                results = {}
+
+                def run(i):
+                    for j in range(i, i + len(cells)):
+                        g, p = cells[j % len(cells)]
+                        results[(i, j)] = simulate(
+                            g, schedule, policy=p, config=config
+                        ).to_dict()
+
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert len(results) == 3 * len(cells)
+                for (i, j), metrics in results.items():
+                    assert metrics == expected[j % len(cells)], (i, j)
+        finally:
+            sys.setswitchinterval(interval)
