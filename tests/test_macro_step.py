@@ -20,11 +20,17 @@ tests skip when cext did not build.  Three layers enforce it here:
   tasks (``tests/oracles.py`` ``inject_escapes``); since escapes replay
   through the exact slow path, any mixture of fast/slow bookings must
   leave metrics unchanged.
+
+The core pins buffers that Python holds as memoryviews; collecting
+finished accelerators must not clear a view the core still exports.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -174,3 +180,44 @@ class TestEscapeResume:
         metrics = accel.run()
         assert injected[0] > 0
         assert metrics.to_dict() == per_event_metrics["4cl", "shogun"]
+
+
+#: Runs finished macro-bound accelerators into the cycle collector and
+#: fails on any error the collector reports (an exported memoryview
+#: cleared before its exporter raises ``BufferError`` inside the
+#: collector, then leaves freed memory to crash on).
+_COLLECT_SCRIPT = r"""
+import gc, sys
+from repro.graph import load_dataset
+from repro.patterns import benchmark_schedule
+from repro.sim import SimConfig
+from repro.sim.accelerator import Accelerator
+
+reported = []
+sys.unraisablehook = lambda info: reported.append(repr(info.exc_value))
+graph = load_dataset("wi", scale=0.05)
+schedule = benchmark_schedule("tc")
+gc.disable()
+for _ in range(20):
+    accel = Accelerator(graph, schedule, SimConfig(backend="cext"), "shogun")
+    assert accel.macro is not None
+    accel.run()
+    del accel
+gc.collect()
+print("reported:", reported)
+sys.exit(1 if reported else 0)
+"""
+
+
+@needs_cext
+def test_collected_accelerators_release_pinned_views():
+    result = subprocess.run(
+        [sys.executable, "-c", _COLLECT_SCRIPT],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "reported: []" in result.stdout
