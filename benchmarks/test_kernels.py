@@ -406,22 +406,21 @@ class TestKernelBackendCompiled:
 
     def test_backend_ema_fold(self, kernel_sets):
         compiled, pure = kernel_sets
-        scratch = np.zeros(2, dtype=np.float64)
         check_c, check_p = PELatencyWindow(), PELatencyWindow()
-        compiled.ema_fold(check_c, 21.5, 48, scratch)
+        compiled.ema_fold(check_c, 21.5, 48)
         pure.ema_fold(check_p, 21.5, 48)
         assert (check_c.value, check_c.total_latency, check_c.samples) == (
             check_p.value, check_p.total_latency, check_p.samples,
         )
 
-        def run(kernels, scratch_arg):
+        def run(kernels):
             window = PELatencyWindow()
             for _ in range(200):
-                kernels.ema_fold(window, 21.5, 48, scratch_arg)
+                kernels.ema_fold(window, 21.5, 48)
             return window
 
-        vec = _best_of(lambda: run(compiled, scratch))
-        ref = _best_of(lambda: run(pure, None))
+        vec = _best_of(lambda: run(compiled))
+        ref = _best_of(lambda: run(pure))
         _record_kernel(
             "backend_ema_fold", vec, ref,
             f"200 48-sample EMA latency folds, {compiled.name} vs pure",

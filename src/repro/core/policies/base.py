@@ -24,6 +24,8 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+import numpy as np
+
 from ..task import SimTask, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,10 +84,13 @@ class SchedulingPolicy(abc.ABC):
         tree: int,
         child_index: int = 0,
     ) -> SimTask:
-        """Create a READY child task extending ``parent`` with ``vertex``."""
-        vertex = int(vertex)  # candidate spans are int64 arrays
+        """Create a READY child task extending ``parent`` with ``vertex``.
+
+        The baseline policies' per-child loops build their tasks inline
+        (positionally, from ``as_ints`` lists); this serves the roots.
+        """
+        vertex = int(vertex)
         embedding = (parent.embedding + (vertex,)) if parent is not None else (vertex,)
-        # Positional: this runs once per task of every non-Shogun policy.
         return SimTask(depth, vertex, embedding, parent, tree, child_index, _READY)
 
     def _assign_buffer(self, task: SimTask, buffer_index: int) -> None:
@@ -99,8 +104,22 @@ class SchedulingPolicy(abc.ABC):
         self.pe.on_tree_finished()
 
 
+def as_ints(values: Sequence[int]) -> Sequence[int]:
+    """Candidate vertices as Python ints: one ``tolist`` for an ``int64``
+    array (derived children); a list (split donors) as is."""
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return values
+
+
 def chunked(values: Sequence[int], size: int) -> List[List[int]]:
-    """Split ``values`` into consecutive chunks of at most ``size``."""
+    """Split ``values`` into consecutive chunks of at most ``size``.
+
+    Chunks hold Python ints: an ``int64`` candidate array is converted
+    with one ``tolist`` per chunk, never element by element.
+    """
     if size < 1:
         raise ValueError("chunk size must be >= 1")
+    if isinstance(values, np.ndarray):
+        return [values[i : i + size].tolist() for i in range(0, len(values), size)]
     return [list(values[i : i + size]) for i in range(0, len(values), size)]

@@ -19,7 +19,9 @@ from typing import Iterator, List, Optional
 
 from ...errors import SimulationError
 from ..task import SimTask, TaskState
-from .base import SchedulingPolicy
+from .base import SchedulingPolicy, as_ints
+
+_READY = TaskState.READY
 
 
 class BFSPolicy(SchedulingPolicy):
@@ -109,13 +111,27 @@ class BFSPolicy(SchedulingPolicy):
                         self._release_set(done)
             depth += 1
             next_level: List[SimTask] = []
+            append = next_level.append
+            # A non-leaf child writes its candidate set to the buffer of
+            # its frontier position (``_assign_buffer`` inlined).
+            address = (
+                self.pe.buffer_map.address
+                if depth < self.pe.schedule.max_depth else None
+            )
             for parent in level:
                 kids = parent.children_vertices
-                for position, v in enumerate(kids if kids is not None else ()):
-                    child = self._make_task(parent, v, depth, tree, child_index=position)
-                    if depth < self.pe.schedule.max_depth:
-                        self._assign_buffer(child, len(next_level))
-                    next_level.append(child)
+                if kids is None or not len(kids):
+                    continue
+                prefix = parent.embedding
+                for position, v in enumerate(as_ints(kids)):
+                    if address is None:
+                        append(SimTask(depth, v, prefix + (v,), parent, tree, position, _READY))
+                    else:
+                        index = len(next_level)
+                        append(SimTask(
+                            depth, v, prefix + (v,), parent, tree, position,
+                            _READY, index, address(depth, index),
+                        ))
             if next_level:
                 frontiers[depth] = next_level
             level = next_level
@@ -125,6 +141,6 @@ class BFSPolicy(SchedulingPolicy):
         return
 
     def _release_set(self, task: SimTask) -> None:
-        if task.expansion is not None and task.set_address is not None:
-            self.pe.footprint_remove(len(task.expansion.candidates) * 4)
+        if task.candidates is not None and task.set_address is not None:
+            self.pe.footprint_remove(len(task.candidates) * 4)
         task.state = TaskState.IDLE

@@ -26,6 +26,8 @@ from ...errors import SimulationError
 from ..task import SimTask, TaskState
 from .base import SchedulingPolicy, chunked
 
+_READY = TaskState.READY
+
 
 class GroupDFSPolicy(SchedulingPolicy):
     """Pseudo-DFS with configurable group size (FINGERS baseline)."""
@@ -99,14 +101,33 @@ class GroupDFSPolicy(SchedulingPolicy):
     def _explore(
         self, parent: SimTask, vertices: List[int], depth: int, tree: int
     ) -> Iterator[List[SimTask]]:
-        for chunk_index, chunk in enumerate(chunked(vertices, self.group_size)):
-            tasks = []
-            for slot, v in enumerate(chunk):
-                position = chunk_index * self.group_size + slot
-                task = self._make_task(parent, v, depth, tree, child_index=position)
-                if depth < self.pe.schedule.max_depth:
-                    self._assign_buffer(task, slot)
-                tasks.append(task)
+        size = self.group_size
+        prefix = parent.embedding
+        if depth < self.pe.schedule.max_depth:
+            # A non-leaf task writes its candidate set to its group
+            # slot's buffer (``_assign_buffer`` inlined: token = slot).
+            buffer_map = self.pe.buffer_map
+            base = buffer_map.address(depth, 0)
+            stride = buffer_map.buffer_bytes
+        else:
+            base = None
+        for chunk_index, chunk in enumerate(chunked(vertices, size)):
+            start = chunk_index * size
+            # SimTask positionally: (depth, vertex, embedding, parent,
+            # tree, child_index, state, token, set_address).
+            if base is None:
+                tasks = [
+                    SimTask(depth, v, prefix + (v,), parent, tree, start + slot, _READY)
+                    for slot, v in enumerate(chunk)
+                ]
+            else:
+                tasks = [
+                    SimTask(
+                        depth, v, prefix + (v,), parent, tree, start + slot,
+                        _READY, slot, base + slot * stride,
+                    )
+                    for slot, v in enumerate(chunk)
+                ]
             yield tasks  # barrier: every task of the group must complete
             for task in tasks:
                 kids = task.children_vertices
@@ -116,8 +137,8 @@ class GroupDFSPolicy(SchedulingPolicy):
 
     def _release_set(self, task: SimTask) -> None:
         """The task's subtree is done; its candidate set is dead."""
-        if task.expansion is not None and task.set_address is not None:
-            self.pe.footprint_remove(len(task.expansion.candidates) * 4)
+        if task.candidates is not None and task.set_address is not None:
+            self.pe.footprint_remove(len(task.candidates) * 4)
         task.state = TaskState.IDLE
 
 

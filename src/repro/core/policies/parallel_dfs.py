@@ -18,7 +18,9 @@ from typing import Iterator, List, Optional
 
 from ...errors import SimulationError
 from ..task import SimTask, TaskState
-from .base import SchedulingPolicy
+from .base import SchedulingPolicy, as_ints
+
+_READY = TaskState.READY
 
 
 class _TreeWalker:
@@ -42,10 +44,20 @@ class _TreeWalker:
     def _explore(
         self, parent: SimTask, vertices: List[int], depth: int, tree: int
     ) -> Iterator[SimTask]:
-        for position, v in enumerate(vertices):
-            task = self.policy._make_task(parent, v, depth, tree, child_index=position)
-            if depth < self.policy.pe.schedule.max_depth:
-                self.policy._assign_buffer_column(task, self.slot)
+        policy = self.policy
+        prefix = parent.embedding
+        if depth < policy.pe.schedule.max_depth:
+            # This walker's buffer column (``_assign_buffer_column``
+            # inlined): one live set per depth.
+            token = self.slot
+            address = policy.pe.buffer_map.address(depth, token)
+        else:
+            token = address = None
+        for position, v in enumerate(as_ints(vertices)):
+            task = SimTask(
+                depth, v, prefix + (v,), parent, tree, position, _READY,
+                token, address,
+            )
             yield task
             kids = task.children_vertices
             if kids is not None and len(kids):
@@ -119,6 +131,6 @@ class ParallelDFSPolicy(SchedulingPolicy):
         self._assign_buffer(task, slot)
 
     def _release_set(self, task: SimTask) -> None:
-        if task.expansion is not None and task.set_address is not None:
-            self.pe.footprint_remove(len(task.expansion.candidates) * 4)
+        if task.candidates is not None and task.set_address is not None:
+            self.pe.footprint_remove(len(task.candidates) * 4)
         task.state = TaskState.IDLE

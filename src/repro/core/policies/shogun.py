@@ -132,9 +132,9 @@ class ShogunPolicy(SchedulingPolicy):
         # The partition message shipped the prefix's candidate-set lines;
         # install them warm in the local L1.
         for task in chain:
-            if task.set_address is not None and task.expansion is not None:
+            if task.set_address is not None and task.candidates is not None:
                 span = self.pe.memory.line_span(
-                    task.set_address, len(task.expansion.candidates) * 4
+                    task.set_address, len(task.candidates) * 4
                 )
                 if span is not None:
                     self.pe.memory.warm_l1_span(self.pe.pe_id, span[0], span[1])

@@ -71,8 +71,8 @@ def plan_partitions(policy: "ShogunPolicy", helpers: int) -> List[Partition]:
     set_lines = 0
     node = task
     while node is not None:
-        if node.expansion is not None:
-            set_lines += -(-len(node.expansion.candidates) * 4 // line_bytes)
+        if node.candidates is not None:
+            set_lines += -(-len(node.candidates) * 4 // line_bytes)
         node = node.parent
     return [
         Partition(

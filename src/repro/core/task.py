@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..mining.tree import Expansion
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class TaskState(enum.Enum):
@@ -85,13 +86,23 @@ class SimTask:
     slot: int = -1
 
     # Filled at execution time -------------------------------------------
-    expansion: Optional[Expansion] = None
+    #: The candidate set this task computed for depth ``depth + 1``
+    #: (sorted ``int64``; ``None`` until derived, and for leaves).
+    candidates: Optional[np.ndarray] = None
+    #: The children the symmetry bound and the used-vertex filter keep,
+    #: computed with the candidates and published as
+    #: ``children_vertices`` at completion (a task has no children
+    #: before it completes).
+    kept: Optional[np.ndarray] = None
     children_vertices: Optional[List[int]] = None
     next_child: int = 0
     #: Materialized ancestor candidate sets visible to this task's
     #: children, cached so siblings share one list instead of each child
-    #: re-walking the parent chain.
+    #: re-walking the parent chain (the interpreted derive).
     child_sets: Optional[List[object]] = None
+    #: What this task's children derive from under the compiled derive,
+    #: built once and shared by the siblings (``DeriveOps.frame``).
+    child_frame: Optional[tuple] = None
     task_id: int = field(default_factory=lambda: next(_task_ids))
 
     # ------------------------------------------------------------------

@@ -105,7 +105,7 @@ DONE_UNDERFLOW = 5  # active-count underflow (simulator bug)
 def _span(vertices) -> np.ndarray:
     """Children as the contiguous ``int64`` span the tree ops read.
 
-    Expansion children already are one; partition interiors, split
+    Derived children already are one; partition interiors, split
     donors and hand-driven tests carry plain lists.  The task keeps its
     own list: splitting extends it with ``+``, which on an ndarray would
     add element-wise.
@@ -337,7 +337,7 @@ class TaskTree:
                 s.e_token[slot] = token
             else:
                 s.e_token[slot] = -1
-            task.expansion = self.pe.context.expand(task.embedding)
+            task.candidates = self.pe.context.expand(task.embedding).candidates
             if d < len(prefix) - 1:
                 # Interior prefix entry: its only live candidate is the
                 # next prefix vertex; everything else stays on the donor.
@@ -355,7 +355,7 @@ class TaskTree:
             self._bunch_parent[b] = parent
             s.b_active[b] = 1
             s.b_quiesced[b] = 0
-            self.pe.footprint_add(len(task.expansion.candidates) * 4)
+            self.pe.footprint_add(len(task.candidates) * 4)
             chain.append(task)
             parent = task
         self._live_trees.add(tree_id)
@@ -452,9 +452,9 @@ class TaskTree:
                 raise SimulationError("spawning with no unexplored candidates")
             return
         # No children: the task's candidate set (if any) is dead.
-        expansion = task.expansion
-        if expansion is not None:
-            self.pe.footprint_remove(len(expansion.candidates) * 4)
+        candidates = task.candidates
+        if candidates is not None:
+            self.pe.footprint_remove(len(candidates) * 4)
         parent = task.parent
         unexplored = ext_vertex = ext_position = 0
         if parent is not None:
@@ -605,8 +605,8 @@ class TaskTree:
             )
         # Parent leaves Resting: its candidate set is fully explored.
         parent_bunch = self._bunch_of(parent)
-        if parent.expansion is not None:
-            self.pe.footprint_remove(len(parent.expansion.candidates) * 4)
+        if parent.candidates is not None:
+            self.pe.footprint_remove(len(parent.candidates) * 4)
         self._extend_or_idle(parent, parent_bunch)
 
     # ------------------------------------------------------------------

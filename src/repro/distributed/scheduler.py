@@ -41,7 +41,7 @@ from ..service.protocol import (
 from ..service.transports import listener_for
 from ..sim.metrics import RunMetrics
 from .board import CellBoard, DeathReport
-from .protocol import SCHEDULER_NAME
+from .protocol import DEAD, SCHEDULER_NAME
 from .worker import spawn_local_workers, terminate_workers
 
 
@@ -334,9 +334,19 @@ class DistributedScheduler:
                 if not addresses:
                     raise ValueError("--spawn-workers needs a socket address")
                 procs = spawn_local_workers(
-                    addresses[0], spawn, slots=spawn_slots,
-                    faults_for_first=spawn_faults,
+                    addresses[0], 1 if spawn_faults else spawn,
+                    slots=spawn_slots, faults_for_first=spawn_faults,
                 )
+                if spawn_faults and spawn > 1:
+                    # The chaos victim starts alone and the others join
+                    # once it has been handed a cell, so its planned
+                    # fault fires: a fast survivor could otherwise drain
+                    # the whole sweep before the victim registers.
+                    await self._await_first_cell(procs[0])
+                    procs += spawn_local_workers(
+                        addresses[0], spawn - 1, slots=spawn_slots,
+                        first_index=2,
+                    )
                 self._report(f"spawned {len(procs)} local worker(s)")
             if not self.board.done:
                 monitor = asyncio.get_running_loop().create_task(self._monitor())
@@ -352,6 +362,20 @@ class DistributedScheduler:
                     await listener.close()
             terminate_workers(procs)
         return dict(self.results), dict(self.board.failures)
+
+    async def _await_first_cell(self, proc) -> None:
+        """Wait until some worker holds or has held a cell (or died
+        holding one), the sweep resolved, ``proc`` exited, or
+        ``register_timeout`` passed."""
+        deadline = self._clock() + self.register_timeout
+        workers = self.board.workers
+        while self._clock() < deadline and proc.poll() is None:
+            if self.board.done or any(
+                w.running or w.completed or w.state == DEAD
+                for w in workers.values()
+            ):
+                return
+            await asyncio.sleep(0.02)
 
     async def _let_workers_drain(self, procs) -> None:
         """Give workers a moment to pull their drain replies and exit.

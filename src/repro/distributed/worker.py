@@ -297,13 +297,15 @@ def spawn_local_workers(
     faults_for_first: Optional[str] = None,
     connect_timeout: float = 60.0,
     python: Optional[str] = None,
+    first_index: int = 1,
 ) -> List[subprocess.Popen]:
     """Launch ``count`` worker subprocesses against ``address``.
 
     Workers run ``python -m repro worker`` with ``src`` prepended to
-    ``PYTHONPATH`` so they resolve the same tree as the parent.
-    ``faults_for_first`` injects a ``REPRO_FAULTS`` plan into worker 1
-    only (the chaos victim); every other worker gets a clean
+    ``PYTHONPATH`` so they resolve the same tree as the parent; they are
+    named ``spawn-<first_index>``, ``spawn-<first_index + 1>``, ...
+    ``faults_for_first`` injects a ``REPRO_FAULTS`` plan into the first
+    worker only (the chaos victim); every other worker gets a clean
     environment even if the parent had a plan set.
     """
     import repro
@@ -322,7 +324,7 @@ def spawn_local_workers(
             env[FAULTS_ENV_VAR] = faults_for_first
         command = [
             python or sys.executable, "-m", "repro", "worker", address,
-            "--name", f"spawn-{index + 1}",
+            "--name", f"spawn-{first_index + index}",
             "--slots", str(slots),
             "--connect-timeout", str(connect_timeout),
         ]

@@ -207,6 +207,15 @@ class SearchContext:
         """
         return self._plan[d]
 
+    def child_filters(self, d: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Embedding positions :meth:`children` reads at depth ``d``.
+
+        Returns ``(bound_positions, used_positions)``: the positions
+        whose minimum vertex is the symmetry-breaking upper bound, and
+        the positions whose vertices the used-vertex filter removes.
+        """
+        return self._bound_depths[d], self._used_positions[d]
+
     def roots(self) -> range:
         """Every data vertex roots one search tree (line 1 of Algorithm 1)."""
         return range(self.graph.num_vertices)

@@ -81,10 +81,12 @@ class Accelerator:
         # addresses per fetch.  Entries of degree-0 vertices are unused.
         line = config.cache_line_bytes
         base_addrs = GRAPH_REGION_BASE + graph.indptr[:-1] * VERTEX_BYTES
-        self.graph_first_line: List[int] = (base_addrs // line).tolist()
-        self.graph_last_line: List[int] = (
-            (base_addrs + graph.degrees * VERTEX_BYTES - 1) // line
-        ).tolist()
+        first_line = base_addrs // line
+        last_line = (base_addrs + graph.degrees * VERTEX_BYTES - 1) // line
+        #: The same spans as ``int64`` arrays, for the compiled derive.
+        self.graph_line_arrays = (first_line, last_line)
+        self.graph_first_line: List[int] = first_line.tolist()
+        self.graph_last_line: List[int] = last_line.tolist()
         factory = policy_factory(policy)
         # The pipeline-unit columns the macro-step core books in place;
         # every PE operates on its row.

@@ -49,7 +49,9 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-from .compiled import BackendUnavailable, make_kernel_set
+import numpy as np
+
+from .compiled import BackendUnavailable, _norm, make_kernel_set
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -729,6 +731,213 @@ int64_t repro_tree_complete(repro_tree_t *t, int64_t slot, int64_t b,
     return 3;  /* DONE_IDLED */
 }
 
+/* Compiled expansion: one non-leaf task derived in one call.
+ *
+ * Mirrors SearchContext.expand and SearchContext.children
+ * (mining/tree.py) and the size arithmetic of PE._derive (sim/pe.py)
+ * step for step.  The first input is the reused ancestor set, or else
+ * N(emb[first]); a plan with no residual op is a fetch costing its size
+ * in comparisons, and each residual intersection, then each subtraction,
+ * costs len(current) + len(nbrs), empty operands included.  One
+ * (first_line, last_line) span per non-empty neighbor input goes
+ * straight into the macro core's span buffer, in expand's order.  The
+ * child cut (the lower bound of min(emb[bound positions]), then the
+ * used-vertex filter by binary search inside the kept prefix) is
+ * computed in the same pass.
+ *
+ * One repro_derive_t per accelerator holds the pinned graph, the
+ * per-depth plan rows (PE._derive's binder documents the layout) and
+ * the buffers; one repro_frame_t per parent task holds what its
+ * children share: their target depth, the embedding prefix and the
+ * reused ancestor set with its address.
+ *
+ * Returns the candidate count (candidates in cand unless info[0] says
+ * the plan kept its input; kept children a prefix of the candidates
+ * unless info[2] says they were copied to scratch), or a negative
+ * escape having written nothing Python reads: -1 the reused ancestor
+ * set is missing, -2 a buffer would overflow (or a vertex id is out of
+ * range), -3 the reused set has no address.
+ */
+#define REPRO_DERIVE_MAXD 16
+#define REPRO_PLAN_HEAD 6
+
+typedef struct {
+    const int64_t *indptr;
+    const int64_t *indices;
+    int64_t num_vertices;
+    const int64_t *first_line;  /* per vertex: first/last graph line */
+    const int64_t *last_line;
+    const int64_t *plan;        /* plan_words words per target depth */
+    int64_t plan_words;
+    int64_t *cand;              /* candidates (cap) */
+    int64_t *scratch;           /* chain ping-pong, then kept children */
+    int64_t cap;
+    int64_t *spans;             /* the macro core's span buffer */
+    int64_t max_spans;
+    int64_t *res;               /* the 8 booking values of PE._derive */
+    int64_t *info;              /* [fetch, nkept, kept_copied,
+                                    comparisons, reused_size] */
+    int64_t line_bytes;
+    int64_t segment_elements;
+} repro_derive_t;
+
+typedef struct {
+    int64_t d;                  /* target depth (child depth + 1) */
+    const int64_t *anc;         /* reused ancestor set, NULL = missing */
+    int64_t nanc;
+    int64_t anc_base;           /* its byte address, -1 = none */
+    int64_t emb[REPRO_DERIVE_MAXD];  /* embedding prefix (d - 1) */
+} repro_frame_t;
+
+static int64_t repro_lower_bound(const int64_t *a, int64_t n, int64_t v)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (a[mid] < v) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+int64_t repro_derive(const repro_derive_t *k, const repro_frame_t *f,
+                     int64_t vertex, int64_t set_address)
+{
+    const int64_t d = f->d;
+    const int64_t w = k->plan_words;
+    const int64_t D = (w - REPRO_PLAN_HEAD) / 4;
+    if (d < 1 || d >= D || d > REPRO_DERIVE_MAXD) return -2;
+    const int64_t *row = k->plan + d * w;
+    const int64_t reused = row[0];
+    const int64_t nconn = row[2], ndisc = row[3];
+    const int64_t nbound = row[4], nused = row[5];
+    const int64_t *conn = row + REPRO_PLAN_HEAD;
+    const int64_t *disc = conn + D;
+    const int64_t *bound = disc + D;
+    const int64_t *used = bound + D;
+    const int64_t lb = k->line_bytes;
+    int64_t emb[REPRO_DERIVE_MAXD];
+    int64_t hits[REPRO_DERIVE_MAXD];
+    int64_t i, j, v, nhits = 0, nspans = 0, graph_lines = 0;
+    int64_t comparisons = 0, reused_size = -1;
+    int64_t inter_first = -1, inter_last = -1;
+    const int64_t *cur;
+    int64_t ncur;
+
+    for (i = 0; i < d - 1; i++) emb[i] = f->emb[i];
+    emb[d - 1] = vertex;
+
+    if (reused >= 0) {
+        if (f->anc == NULL) return -1;
+        if (f->anc_base < 0) return -3;
+        cur = f->anc;
+        ncur = f->nanc;
+        reused_size = ncur;
+        if (ncur > 0) {
+            inter_first = f->anc_base / lb;
+            inter_last = (f->anc_base + ncur * 4 - 1) / lb;
+        }
+    } else {
+        v = emb[row[1]];
+        if (v < 0 || v >= k->num_vertices) return -2;
+        cur = k->indices + k->indptr[v];
+        ncur = k->indptr[v + 1] - k->indptr[v];
+        if (ncur > 0) {
+            k->spans[0] = k->first_line[v];
+            k->spans[1] = k->last_line[v];
+            graph_lines += k->last_line[v] - k->first_line[v] + 1;
+            nspans = 1;
+        }
+    }
+    /* Every later set (op outputs, kept children) is at most this long. */
+    if (ncur > k->cap) return -2;
+    const int fetch = nconn == 0 && ndisc == 0;
+    if (fetch) comparisons = ncur;
+
+    int64_t *dst = k->cand, *alt = k->scratch;
+    for (i = 0; i < nconn + ndisc; i++) {
+        v = emb[i < nconn ? conn[i] : disc[i - nconn]];
+        if (v < 0 || v >= k->num_vertices) return -2;
+        const int64_t *nbrs = k->indices + k->indptr[v];
+        const int64_t nn = k->indptr[v + 1] - k->indptr[v];
+        if (nn > 0) {
+            if (nspans >= k->max_spans) return -2;
+            k->spans[2 * nspans] = k->first_line[v];
+            k->spans[2 * nspans + 1] = k->last_line[v];
+            graph_lines += k->last_line[v] - k->first_line[v] + 1;
+            nspans++;
+        }
+        int64_t out;
+        if (i >= nconn)
+            out = repro_subtract(cur, ncur, nbrs, nn, dst);
+        else if (ncur <= nn)
+            out = repro_intersect(cur, ncur, nbrs, nn, dst);
+        else
+            out = repro_intersect(nbrs, nn, cur, ncur, dst);
+        comparisons += ncur + nn;
+        cur = dst;
+        ncur = out;
+        dst = alt;
+        alt = (int64_t *)cur;
+    }
+    if (!fetch && cur != k->cand) {
+        for (i = 0; i < ncur; i++) k->cand[i] = cur[i];
+        cur = k->cand;
+    }
+
+    int64_t cut = ncur;
+    if (nbound > 0 && ncur > 0) {
+        int64_t b = emb[bound[0]];
+        for (i = 1; i < nbound; i++)
+            if (emb[bound[i]] < b) b = emb[bound[i]];
+        cut = repro_lower_bound(cur, ncur, b);
+    }
+    if (nused > 0 && cut > 0) {
+        for (i = 0; i < nused; i++) {
+            v = emb[used[i]];
+            j = repro_lower_bound(cur, cut, v);
+            if (j < cut && cur[j] == v) {
+                /* Insertion keeps hits ascending (embedding vertices
+                 * are distinct, so hit indices are too). */
+                int64_t m = nhits++;
+                while (m > 0 && hits[m - 1] > j) { hits[m] = hits[m - 1]; m--; }
+                hits[m] = j;
+            }
+        }
+    }
+    if (nhits > 0) {
+        int64_t n = 0, h = 0;
+        for (i = 0; i < cut; i++) {
+            if (h < nhits && hits[h] == i) { h++; continue; }
+            k->scratch[n++] = cur[i];
+        }
+    }
+
+    int64_t out_first = -1, out_last = -1, out_count = 0;
+    if (set_address >= 0 && ncur > 0) {
+        out_first = set_address / lb;
+        out_last = (set_address + ncur * 4 - 1) / lb;
+        out_count = out_last - out_first + 1;
+    }
+    int64_t *res = k->res;
+    res[0] = inter_first;
+    res[1] = inter_last;
+    res[2] = nspans;
+    res[3] = out_first;
+    res[4] = out_last;
+    res[5] = out_count;
+    res[6] = comparisons > 0
+        ? (comparisons + k->segment_elements - 1) / k->segment_elements : 0;
+    res[7] = (inter_first >= 0 ? inter_last - inter_first + 1 : 0)
+        + graph_lines + out_count;
+    int64_t *info = k->info;
+    info[0] = fetch;
+    info[1] = cut - nhits;
+    info[2] = nhits > 0;
+    info[3] = comparisons;
+    info[4] = reused_size;
+    return ncur;
+}
+
 """
 
 CDEF = """
@@ -821,9 +1030,93 @@ int64_t repro_tree_complete(repro_tree_t *t, int64_t slot, int64_t b,
                             int64_t first, int64_t navail,
                             int64_t parent_unexplored, int64_t ext_vertex,
                             int64_t ext_position, int64_t tree_quiesced);
+typedef struct {
+    const int64_t *indptr;
+    const int64_t *indices;
+    int64_t num_vertices;
+    const int64_t *first_line;
+    const int64_t *last_line;
+    const int64_t *plan;
+    int64_t plan_words;
+    int64_t *cand;
+    int64_t *scratch;
+    int64_t cap;
+    int64_t *spans;
+    int64_t max_spans;
+    int64_t *res;
+    int64_t *info;
+    int64_t line_bytes;
+    int64_t segment_elements;
+} repro_derive_t;
+typedef struct {
+    int64_t d;
+    const int64_t *anc;
+    int64_t nanc;
+    int64_t anc_base;
+    int64_t emb[16];
+} repro_frame_t;
+int64_t repro_derive(const repro_derive_t *k, const repro_frame_t *f,
+                     int64_t vertex, int64_t set_address);
 """
 
 CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+#: Deepest schedule a ``repro_frame_t`` embedding prefix holds
+#: (``REPRO_DERIVE_MAXD`` in the C source).
+DERIVE_MAX_DEPTH = 16
+#: Header words of a plan row (``REPRO_PLAN_HEAD`` in the C source).
+PLAN_HEAD = 6
+
+
+class DeriveOps:
+    """One accelerator's compiled expansion (``derive_bind``).
+
+    ``derive(frame, vertex, set_address)`` runs ``repro_derive`` over
+    the bound struct and returns the candidate count, or a negative
+    escape having written nothing Python reads.  On success:
+
+    * ``res`` holds the eight values ``PE._derive`` returns, with the
+      span count in place of a span list (the spans themselves are in
+      ``spans``, the macro core's buffer; :meth:`span_list` reads them
+      back for the per-event path);
+    * ``info`` holds ``[fetch, nkept, kept_copied, comparisons,
+      reused_size]``: whether the plan kept its first input as the
+      candidates (no set op), the kept-children count, whether the kept
+      children were copied to ``scratch`` (else they are a prefix of
+      the candidates), and the expansion's accounting;
+    * the candidates are in ``cand`` unless ``fetch`` is set.
+
+    ``frame(parent)`` builds the per-parent ``(frame, first_input,
+    pin)`` triple every child of ``parent`` derives from:
+    ``first_input`` is the array a fetch-only plan keeps as its
+    candidates (``None`` when that is the child's own neighbor set) and
+    ``pin`` keeps the reused set's pointer valid.  ``root_frame`` is the
+    triple for parentless tasks.
+    """
+
+    __slots__ = (
+        "derive", "res", "info", "cand", "scratch", "spans", "nbr",
+        "root_frame", "frame", "_keep",
+    )
+
+    def __init__(self, derive, res, info, cand, scratch, spans, nbr,
+                 root_frame, frame, keep) -> None:
+        self.derive = derive
+        self.res = res
+        self.info = info
+        self.cand = cand
+        self.scratch = scratch
+        self.spans = spans
+        self.nbr = nbr
+        self.root_frame = root_frame
+        self.frame = frame
+        self._keep = keep
+
+    def span_list(self, nspans):
+        """The first ``nspans`` spans of the buffer as ``(first, last)``
+        pairs."""
+        spans = self.spans
+        return [(spans[2 * i], spans[2 * i + 1]) for i in range(nspans)]
 
 
 def _cache_dir() -> Path:
@@ -1278,6 +1571,127 @@ class _CLib:
         ops.fill = fill
         ops.complete = complete
         return ops
+
+    def derive_bind(self, accel, spans):
+        """Compiled-expansion bindings for one accelerator (see
+        :class:`DeriveOps`), or ``None`` when the schedule is deeper
+        than a frame holds (``PE._derive`` then stays interpreted).
+
+        One ``repro_derive_t`` pins, once: the CSR arrays (read-only; in
+        pool workers they are shared-memory views), each vertex's first
+        and last graph line, the per-depth plan table, the candidate
+        and scratch buffers (sized to the maximum degree, which bounds
+        every set a plan produces), ``spans`` (the macro core's span
+        buffer) and the result vectors.  The buffers belong to this
+        accelerator: cffi releases the GIL in every call, so nothing
+        here may be shared between simulations.  The result vectors
+        are memoryviews, pinned through the array each views, as
+        :meth:`macro_bind` does.
+
+        Plan row ``d`` (the candidate set feeding depth ``d``) holds
+        ``[reused, first, nconn, ndisc, nbound, nused]`` (``reused`` and
+        ``first`` are -1 when unused) and then four ``depth``-wide
+        position lists: the residual intersections (without ``first``),
+        the subtractions, the symmetry-bound positions and the
+        used-vertex positions.
+        """
+        schedule = accel.schedule
+        depth = schedule.depth
+        if depth > DERIVE_MAX_DEPTH:
+            return None
+        ffi = self._ffi
+        i64 = self._i64
+        keep = []
+
+        def pin(buf, writable):
+            if isinstance(buf, memoryview):
+                buf = buf.obj
+            p = ffi.from_buffer(i64, buf, require_writable=writable)
+            keep.append(p)
+            return p
+
+        context = accel.context
+        width = PLAN_HEAD + 4 * depth
+        plan = np.zeros(depth * width, dtype=np.int64)
+        reused_of = [None] * depth
+        first_of = [-1] * depth
+        for d in range(1, depth):
+            reused, conn, disc = context.reuse_plan(d)
+            bound, used = context.child_filters(d)
+            row = plan[d * width:(d + 1) * width]
+            row[0] = row[1] = -1
+            if reused is None:
+                row[1] = first_of[d] = conn[0]
+                conn = conn[1:]
+            else:
+                row[0] = reused_of[d] = reused
+            row[2:PLAN_HEAD] = (len(conn), len(disc), len(bound), len(used))
+            for i, positions in enumerate((conn, disc, bound, used)):
+                start = PLAN_HEAD + i * depth
+                row[start:start + len(positions)] = positions
+
+        graph = accel.graph
+        config = accel.config
+        cap = max(1, graph.max_degree)
+        cand = np.empty(cap, dtype=np.int64)
+        scratch = np.empty(cap, dtype=np.int64)
+        res = memoryview(np.zeros(8, dtype=np.int64))
+        info = memoryview(np.zeros(5, dtype=np.int64))
+        first_line, last_line = accel.graph_line_arrays
+        k = ffi.new("repro_derive_t *")
+        k.indptr = pin(graph.indptr, False)
+        k.indices = pin(graph.indices, False)
+        k.num_vertices = graph.num_vertices
+        k.first_line = pin(first_line, False)
+        k.last_line = pin(last_line, False)
+        k.plan = pin(plan, False)
+        k.plan_words = width
+        k.cand = pin(cand, True)
+        k.scratch = pin(scratch, True)
+        k.cap = cap
+        k.spans = pin(spans, True)
+        k.max_spans = len(spans) // 2
+        k.res = pin(res, True)
+        k.info = pin(info, True)
+        k.line_bytes = config.cache_line_bytes
+        k.segment_elements = int(config.segment_elements)
+
+        new = ffi.new
+        from_buffer = ffi.from_buffer
+        nbr = graph.arena().slices
+
+        def frame(parent):
+            d = parent.depth + 2
+            f = new("repro_frame_t *")
+            f.d = d
+            emb = parent.embedding
+            f.emb[0:len(emb)] = emb
+            reused = reused_of[d]
+            if reused is None:
+                pos = first_of[d]
+                return (f, nbr[emb[pos]] if pos < d - 1 else None, None)
+            producer = parent
+            while producer is not None and producer.depth >= reused:
+                producer = producer.parent
+            anc = producer.candidates if producer is not None else None
+            if anc is None:
+                # f.anc stays NULL: the kernel escapes to expand.
+                return (f, None, None)
+            anc = _norm(anc)  # the kernel reads C-contiguous int64
+            p = from_buffer(i64, anc)
+            f.anc = p
+            f.nanc = len(anc)
+            base = producer.set_address
+            f.anc_base = -1 if base is None else base
+            return (f, anc, p)
+
+        root = new("repro_frame_t *")
+        root.d = 1
+        return DeriveOps(
+            functools.partial(self._lib.repro_derive, k), res, info,
+            cand, scratch, spans, nbr, (root, None, None), frame,
+            (k, keep, plan, root),
+        )
 
 
 def make_kernels():

@@ -46,7 +46,8 @@ class KernelSet:
     """
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
-                 span_resident_stamp, ema_fold, tree_bind, macro_bind=None):
+                 span_resident_stamp, ema_fold, tree_bind, macro_bind=None,
+                 derive_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
@@ -65,6 +66,12 @@ class KernelSet:
         #: pre-marshals pointers into per-PE structs); ``None`` for the
         #: pure backend, which books per-event.
         self.macro_bind = macro_bind
+        #: Compiled-expansion binder ``(accel, spans) -> ops`` (the C
+        #: extension's ``DeriveOps``; ``None`` if the schedule is too
+        #: deep): one call derives a non-leaf task, writing its graph
+        #: spans into the macro core's ``spans``.  ``None`` for the pure
+        #: backend, whose ``PE._derive`` runs ``SearchContext``.
+        self.derive_bind = derive_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.
     KERNELS = (
@@ -150,7 +157,7 @@ def make_kernel_set(name: str, lib) -> KernelSet:
             return True
         return False
 
-    def ema_fold(window, latency, n, scratch=None):
+    def ema_fold(window, latency, n):
         if n >= 8:
             # Adapter-owned state handshake (a C-side pair per call).
             lib_ema_window(window, latency, n)
@@ -169,5 +176,5 @@ def make_kernel_set(name: str, lib) -> KernelSet:
     return KernelSet(
         name, True, intersect, subtract, intersect_multi,
         span_resident_stamp, ema_fold, lib.tree_bind,
-        macro_bind=lib.macro_bind,
+        macro_bind=lib.macro_bind, derive_bind=lib.derive_bind,
     )

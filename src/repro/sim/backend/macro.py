@@ -21,14 +21,16 @@ innermost:
 ``multi_round``
     The working set exceeds the SPM share — the fetch/compute stages
     loop in Python (``PE._book_body`` multi-round branch).
-``spans_overflow``
-    More graph spans than the flattened marshalling buffer holds.
+``derive_escape``
+    The compiled derive escaped (a missing ancestor set, more graph
+    spans than the span buffer holds): ``SearchContext`` derived the
+    task in Python and it books per-event.
 ``vertex_miss`` / ``inter_miss`` / ``graph_miss``
     A cache probe failed (L1 vertex line, L1 intermediate span, L2
     graph span): the fetch needs DRAM/NoC modeling, which stays in
     Python.  Nothing was committed; the fallback reuses the already
-    derived expansion (``PE._derive`` ran exactly once — re-running it
-    would double-count ``context.expansions``).
+    derived task (``PE._derive`` ran exactly once — re-running it
+    would double-count the search context's counters).
 
 Two success shapes come back from the loop: ``0`` (complete — the core
 booked through spawn; Python posts the completion event) and ``1``
@@ -53,9 +55,12 @@ the golden registry enforce it.
 Each entry of :attr:`MacroCore.books` is the backend's fast-path
 function with the PE's bound core struct applied
 (``functools.partial``), so a booking call enters the compiled code
-with no Python frame in between.  The marshalling buffers the core
-pins are held as memoryviews, so :meth:`MacroCore.start` writes spans
-and reads the result as plain Python numbers.
+with no Python frame in between.  A non-leaf task is derived first by
+the backend's compiled derive (``derive_bind``, bound here over the
+core's span buffer): it writes the task's graph spans straight into
+that buffer, where the booking call reads them, so no span passes
+through Python.  The core's buffers are held as memoryviews, so
+:meth:`MacroCore.start` reads the result as plain Python numbers.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ COUNTER_KEYS = (
     "inter_miss",
     "graph_miss",
     "multi_round",
-    "spans_overflow",
+    "derive_escape",
 )
 
 #: Escape-status → counter key for the negative loop returns.
@@ -87,7 +92,7 @@ class MacroCore:
 
     __slots__ = (
         "accel", "books", "counters", "spans", "result", "_pinned",
-        "max_depth", "spm_share", "line_bytes", "max_spans",
+        "max_depth", "spm_share", "line_bytes",
     )
 
     def __init__(self, accel, bind) -> None:
@@ -106,7 +111,6 @@ class MacroCore:
         self.max_depth = pe0._max_depth
         self.spm_share = pe0.spm_share
         self.line_bytes = pe0._line_bytes
-        self.max_spans = SPANS_CAPACITY // 2
 
     # ------------------------------------------------------------------
     def start(self, pe, task, now: float) -> None:
@@ -137,28 +141,19 @@ class MacroCore:
 
         derived = pe._derive(task)
         (
-            inter_span, graph_spans,
+            inter_first, inter_last, nspans,
             out_first, out_last, out_count, segments, total_lines,
         ) = derived
-        nspans = len(graph_spans)
-        if total_lines > self.spm_share or nspans > self.max_spans:
+        if total_lines > self.spm_share or nspans.__class__ is not int:
+            # Multi-round, or derived in Python (a span list, not a
+            # count of spans in the buffer).
             key = (
                 "multi_round" if total_lines > self.spm_share
-                else "spans_overflow"
+                else "derive_escape"
             )
             counters[key] += 1
             pe._book_body(task, pe._book_front(task, now), *derived)
             return
-        spans = self.spans
-        idx = 0
-        for first, last in graph_spans:
-            spans[idx] = first
-            spans[idx + 1] = last
-            idx += 2
-        if inter_span is not None:
-            inter_first, inter_last = inter_span
-        else:
-            inter_first = inter_last = -1
 
         status = book(
             now, 0, vertex_line, inter_first, inter_last,
@@ -193,12 +188,16 @@ def build_macro(accel) -> Optional[MacroCore]:
     """Bind the macro-step core to ``accel`` (``None`` under pure).
 
     The core is on exactly when the active kernel backend is compiled;
-    on success every PE's ``_macro`` is pointed at the returned core.
+    on success every PE's ``_macro`` is pointed at the returned core
+    and its ``_derive_ops`` at the compiled derive bound over the
+    core's span buffer.
     """
     kernels = accel.memory._kernels
     if not kernels.compiled:
         return None
     core = MacroCore(accel, kernels.macro_bind)
+    derive = kernels.derive_bind(accel, core.spans)
     for pe in accel.pes:
         pe._macro = core
+        pe._derive_ops = derive
     return core

@@ -28,15 +28,21 @@ Kernel contracts
     return False.  Hit/miss *statistics* are the caller's job — the
     writeback path refreshes LRU without counting hits.
 
-``ema_fold(window, latency, n, scratch)``
+``ema_fold(window, latency, n)``
     Fold ``n`` identical latencies into a ``PELatencyWindow``.
-    ``scratch`` is a reusable 2-element float64 buffer for compiled
-    backends; the pure loop ignores it.
 
 ``tree_bind(state)``
     The ``select``/``fill``/``complete`` ops every ``TaskTree``
     decision goes through, bound over one tree's struct-of-arrays
     state (see :func:`tree_bind`).
+
+``derive_bind(accel, spans)``
+    Compiled backends only (``None`` here): one call derives a
+    non-leaf task — its reuse plan's set operations, comparison count,
+    graph spans (written into the macro core's ``spans``), working-set
+    sizes and kept children.  Under this backend ``PE._derive`` runs
+    ``SearchContext.expand``/``children``, the reference the compiled
+    call mirrors.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ def span_resident_stamp(cache, first_line: int, last_line: int) -> bool:
     return True
 
 
-def ema_fold(window, latency: float, n: int, scratch=None) -> None:
+def ema_fold(window, latency: float, n: int) -> None:
     """Per-access EMA folds of ``n`` identical latencies (exact loop)."""
     alpha = window.alpha
     value = window.value

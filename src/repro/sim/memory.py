@@ -372,7 +372,6 @@ class MemorySystem:
         # bound set is consulted per span, so profiler instrumentation
         # applies to live instances.
         self._kernels = _backend.activate(getattr(config, "backend", None))
-        self._ema_scratch = np.zeros(2, dtype=np.float64)
         pes = num_pes if num_pes is not None else config.num_pes
         line = config.cache_line_bytes
         self.l1s = [
@@ -538,9 +537,7 @@ class MemorySystem:
         self._stats[1] += n
         l1_hit = self._l1_hit_cycles_f
         if record_window:
-            self._kernels.ema_fold(
-                self.l1_windows[pe_id], l1_hit, n, self._ema_scratch
-            )
+            self._kernels.ema_fold(self.l1_windows[pe_id], l1_hit, n)
         finish = (now + (n - 1) // self._fetch_ports) + l1_hit
         return finish if finish > now else now
 

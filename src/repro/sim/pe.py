@@ -37,6 +37,8 @@ import numpy as np
 from ..core.task import SimTask, TaskState
 from ..core.tokens import SetBufferMap
 from ..errors import SimulationError
+from ..mining.setops import EMPTY
+from ..mining.tree import Expansion
 from .fu import IUPool
 from .memory import Scratchpad, span_round_chunk, spans_round_chunk
 
@@ -150,6 +152,9 @@ class PE:
         # built (None = per-event booking).  Stand-alone PEs (unit
         # tests with a stub accel) never get one.
         self._macro = None
+        # Compiled-expansion binding (``DeriveOps``), set with the macro
+        # core; None = ``SearchContext`` derives every task.
+        self._derive_ops = None
 
         # Windowed IU utilization for the locality monitor.
         self._iu_win_start = 0.0
@@ -272,19 +277,7 @@ class PE:
         if task.depth >= self._max_depth:
             self._book_leaf(task, t)
             return
-        (
-            inter_span,
-            graph_spans,
-            out_first,
-            out_last,
-            out_count,
-            segments,
-            total_lines,
-        ) = self._derive(task)
-        self._book_body(
-            task, t, inter_span, graph_spans,
-            out_first, out_last, out_count, segments, total_lines,
-        )
+        self._book_body(task, t, *self._derive(task))
 
     def _book_front(self, task: SimTask, now: float) -> float:
         """Book decode + dispatch and fetch the task's vertex line.
@@ -327,10 +320,57 @@ class PE:
         """Expand a non-leaf task and size its working set.
 
         Pure derivation — reads the search tree and the graph, writes
-        only ``task.expansion`` (and the parent's cached ``child_sets``)
-        — so it is safe to run before *or* after the decode/dispatch
-        booking; no booked resource state is consulted.
+        only ``task.candidates`` and ``task.kept`` (and the parent's
+        cached ``child_sets`` / ``child_frame``) — so it is safe to run
+        before *or* after the decode/dispatch booking; no booked
+        resource state is consulted.
+
+        Returns ``(inter_first, inter_last, graph_spans, out_first,
+        out_last, out_count, segments, total_lines)``: the L1 span of
+        the reused ancestor set (-1s without one), the neighbor inputs'
+        L2 spans, the output set's L1 span and line count, the IU
+        segments and the working set in lines.  Under a compiled
+        backend one kernel call (``DeriveOps``) derives the task;
+        ``graph_spans`` is then the count of ``(first, last)`` pairs it
+        wrote into the macro core's span buffer.  Otherwise, and when
+        the kernel escapes, ``SearchContext.expand``/``children`` derive
+        it and ``graph_spans`` is the list of pairs.
         """
+        ops = self._derive_ops
+        if ops is not None:
+            parent = task.parent
+            if parent is None:
+                frame = ops.root_frame
+            else:
+                frame = parent.child_frame
+                if frame is None:
+                    frame = parent.child_frame = ops.frame(parent)
+            address = task.set_address
+            n = ops.derive(frame[0], task.vertex, -1 if address is None else address)
+            if n >= 0:
+                info = ops.info
+                if info[0]:
+                    # No set op: the plan's input array is the candidate set.
+                    candidates = frame[1]
+                    if candidates is None:
+                        candidates = ops.nbr[task.vertex]
+                elif n:
+                    candidates = ops.cand[:n].copy()
+                else:
+                    candidates = EMPTY
+                task.candidates = candidates
+                nkept = info[1]
+                if info[2]:
+                    task.kept = ops.scratch[:nkept].copy()
+                else:
+                    task.kept = candidates[:nkept] if nkept < n else candidates
+                context = self.context
+                context.expansions += 1
+                context.candidates_seen += n
+                context.children_kept += nkept
+                context.children_pruned += n - nkept
+                return ops.res.tolist()
+
         # Ancestor sets inline (see _ancestor_sets): parent is at hand.
         parent = task.parent
         if parent is None:
@@ -339,12 +379,21 @@ class PE:
             sets = parent.child_sets
             if sets is None:
                 sets = self._child_sets(parent)
-        expansion = self.context.expand(task.embedding, sets)
-        task.expansion = expansion
+        context = self.context
+        expansion = context.expand(task.embedding, sets)
+        candidates = expansion.candidates
+        task.candidates = candidates
+        task.kept = context.children(task.embedding, candidates)
 
-        inter_span = self._intermediate_span(task)
-        graph_spans, graph_count = self._graph_spans(task)
-        out_bytes = len(expansion.candidates) * 4
+        inter_span = self._intermediate_span(task, expansion)
+        if inter_span is None:
+            inter_first = inter_last = -1
+            inter_count = 0
+        else:
+            inter_first, inter_last = inter_span
+            inter_count = inter_last - inter_first + 1
+        graph_spans, graph_count = self._graph_spans(expansion)
+        out_bytes = len(candidates) * 4
         set_address = task.set_address
         if set_address is not None and out_bytes > 0:
             line_bytes = self._line_bytes
@@ -359,10 +408,9 @@ class PE:
         segments = (
             -(-comparisons // self._segment_elements) if comparisons > 0 else 0
         )
-        inter_count = 0 if inter_span is None else inter_span[1] - inter_span[0] + 1
         total_lines = inter_count + graph_count + out_count
         return (
-            inter_span, graph_spans,
+            inter_first, inter_last, graph_spans,
             out_first, out_last, out_count, segments, total_lines,
         )
 
@@ -370,23 +418,31 @@ class PE:
         self,
         task: SimTask,
         t: float,
-        inter_span: Optional[Tuple[int, int]],
-        graph_spans: List[Tuple[int, int]],
+        inter_first: int,
+        inter_last: int,
+        graph_spans,
         out_first: int,
         out_last: int,
         out_count: int,
         segments: int,
         total_lines: int,
     ) -> None:
-        """Fetch, issue and FU stages of a derived non-leaf task."""
+        """Fetch, issue and FU stages of a derived non-leaf task.
+
+        Takes :meth:`_derive`'s result; a compiled derive's span count
+        is read back from the span buffer here, the only place the
+        per-event path needs the pairs.
+        """
+        if graph_spans.__class__ is int:
+            graph_spans = self._derive_ops.span_list(graph_spans)
         memory = self.memory
         interval = self._unit_interval
         if total_lines <= self.spm_share:
             # Single round (the overwhelmingly common case): the whole
             # working set streams through as unbroken spans.
             t_inter = (
-                memory.fetch_intermediate_span(self.pe_id, inter_span[0], inter_span[1], t)
-                if inter_span is not None
+                memory.fetch_intermediate_span(self.pe_id, inter_first, inter_last, t)
+                if inter_first >= 0
                 else t
             )
             t_graph = memory.fetch_graph_spans(self.pe_id, graph_spans, t) if graph_spans else t
@@ -401,8 +457,8 @@ class PE:
             rounds = -(-total_lines // self.spm_share)
             for r in range(rounds):
                 ichunk = (
-                    span_round_chunk(inter_span[0], inter_span[1], r, rounds)
-                    if inter_span is not None
+                    span_round_chunk(inter_first, inter_last, r, rounds)
+                    if inter_first >= 0
                     else ()
                 )
                 gchunk = spans_round_chunk(graph_spans, r, rounds)
@@ -459,15 +515,16 @@ class PE:
             if base is None:
                 base = self._child_sets(grandparent)
             sets = list(base)
-        if parent.expansion is not None:
-            sets[parent.depth + 1] = parent.expansion.candidates
+        if parent.candidates is not None:
+            sets[parent.depth + 1] = parent.candidates
         parent.child_sets = sets
         return sets
 
-    def _intermediate_span(self, task: SimTask) -> Optional[Tuple[int, int]]:
+    def _intermediate_span(
+        self, task: SimTask, expansion: Expansion
+    ) -> Optional[Tuple[int, int]]:
         """L1 line span of the reused ancestor candidate set (or None)."""
-        expansion = task.expansion
-        if expansion is None or expansion.reused_depth is None:
+        if expansion.reused_depth is None:
             return None
         producer = task.ancestor_at_depth(expansion.reused_depth - 1)
         if producer.set_address is None:
@@ -484,7 +541,7 @@ class PE:
         line_bytes = self._line_bytes
         return (base // line_bytes, (base + num_bytes - 1) // line_bytes)
 
-    def _graph_spans(self, task: SimTask) -> Tuple[List[Tuple[int, int]], int]:
+    def _graph_spans(self, expansion: Expansion) -> Tuple[List[Tuple[int, int]], int]:
         """L2 line spans of all neighbor-set inputs, plus the line total.
 
         Uses the accelerator's precomputed per-vertex line spans — a
@@ -497,7 +554,7 @@ class PE:
         spans: List[Tuple[int, int]] = []
         append = spans.append
         count = 0
-        for inp in task.expansion.neighbors:
+        for inp in expansion.neighbors:
             if inp.size:
                 ref = inp.ref
                 f = first[ref]
@@ -534,10 +591,8 @@ class PE:
             self.matches += 1
             task.children_vertices = []
         else:
-            task.children_vertices = self.context.children(
-                task.embedding, task.expansion.candidates
-            )
-            self.footprint_add(len(task.expansion.candidates) * 4)
+            task.children_vertices = task.kept
+            self.footprint_add(len(task.candidates) * 4)
         self.slots_used -= 1
         self.policy.on_task_complete(task)
         self.kick()

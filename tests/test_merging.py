@@ -53,9 +53,9 @@ class TestQuiesce:
         tree.add_root(1, 2)
         # Make tree 1 deeper: give it an in-use depth-1 bunch.
         r1 = tree.select(False)
-        r1.expansion = pe.context.expand(r1.embedding)
-        r1.children_vertices = pe.context.children(r1.embedding, r1.expansion.candidates)
-        pe.footprint_add(len(r1.expansion.candidates) * 4)
+        r1.candidates = pe.context.expand(r1.embedding).candidates
+        r1.children_vertices = pe.context.children(r1.embedding, r1.candidates)
+        pe.footprint_add(len(r1.candidates) * 4)
         tree.on_complete(r1)
         merger = pe.policy.merger
         # Force the thrashing condition by direct call.

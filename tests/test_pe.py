@@ -41,13 +41,14 @@ class TestSpanHelpers:
     def test_graph_spans_cover_neighbor_lines(self, small_er):
         _, pe = build(small_er, code="4cl")
         root = SimTask(depth=0, vertex=20, embedding=(20,), parent=None, tree=1)
-        root.expansion = pe.context.expand((20,))
-        spans, count = pe._graph_spans(root)
+        expansion = pe.context.expand((20,))
+        root.candidates = expansion.candidates
+        spans, count = pe._graph_spans(expansion)
         first = pe.accel.graph_first_line
         last = pe.accel.graph_last_line
         expected = [
             (first[inp.ref], last[inp.ref])
-            for inp in root.expansion.neighbors
+            for inp in expansion.neighbors
             if inp.size
         ]
         assert spans == expected
@@ -56,10 +57,11 @@ class TestSpanHelpers:
     def test_intermediate_span_none_without_reuse(self, small_er):
         _, pe = build(small_er, code="4cl")
         root = SimTask(depth=0, vertex=20, embedding=(20,), parent=None, tree=1)
-        root.expansion = pe.context.expand((20,))
+        expansion = pe.context.expand((20,))
+        root.candidates = expansion.candidates
         # Roots have no ancestor set to reuse.
-        assert root.expansion.reused_depth is None
-        assert pe._intermediate_span(root) is None
+        assert expansion.reused_depth is None
+        assert pe._intermediate_span(root, expansion) is None
 
     def test_out_span_matches_line_addrs(self, tiny_graph):
         # The inlined out-span arithmetic in _start_task must agree with
@@ -108,8 +110,8 @@ class TestAncestorSets:
     def test_sets_aligned_by_feeding_depth(self, small_er):
         _, pe = build(small_er, code="4cl")
         root = SimTask(depth=0, vertex=20, embedding=(20,), parent=None, tree=1)
-        root.expansion = pe.context.expand((20,))
+        root.candidates = pe.context.expand((20,)).candidates
         child = SimTask(depth=1, vertex=5, embedding=(20, 5), parent=root, tree=1)
         sets = pe._ancestor_sets(child)
-        assert sets[1] is root.expansion.candidates
+        assert sets[1] is root.candidates
         assert sets[2] is None

@@ -44,7 +44,7 @@ class TestPartitionMessage:
         tree = pe.policy.tree
         tree.add_root(20, 1)
         root = tree.select(False)
-        root.expansion = pe.context.expand(root.embedding)
+        root.candidates = pe.context.expand(root.embedding).candidates
         root.children_vertices = [0, 1, 2, 3, 4, 5]
         root.state = root.state
         tree.on_complete(root)

@@ -25,8 +25,8 @@ def make_tree(graph, code="4cl", **cfg):
 def finish_task(tree, pe, task, children):
     """Emulate PE completion: attach children and notify the tree."""
     if task.depth < pe.schedule.max_depth:
-        task.expansion = pe.context.expand(task.embedding)
-        pe.footprint_add(len(task.expansion.candidates) * 4)
+        task.candidates = pe.context.expand(task.embedding).candidates
+        pe.footprint_add(len(task.candidates) * 4)
     task.children_vertices = list(children)
     task.state = TaskState.COMPLETE
     tree.on_complete(task)
