@@ -40,6 +40,9 @@ class ShogunPolicy(SchedulingPolicy):
         self._conservative_override = conservative_override
         self._next_epoch = float(pe.config.monitor_epoch_cycles)
         self._engine = pe.engine
+        #: ``[next_epoch, conservative]`` words the compiled event lane
+        #: reads (:meth:`publish_to`); ``None`` without a lane.
+        self._published = None
 
     # ------------------------------------------------------------------
     def wants_root(self) -> bool:
@@ -114,6 +117,22 @@ class ShogunPolicy(SchedulingPolicy):
             self.pe.memory.recent_l1_latency(self.pe.pe_id),
             self.pe.recent_iu_utilization(),
         )
+        if self._published is not None:
+            self._publish()
+
+    def publish_to(self, words) -> None:
+        """Keep ``words`` at ``[next_epoch, conservative]`` for the lane.
+
+        The compiled event lane only reads them: both change only here,
+        at epoch boundaries, which the lane hands to Python.
+        """
+        self._published = words
+        self._publish()
+
+    def _publish(self) -> None:
+        words = self._published
+        words[0] = self._next_epoch
+        words[1] = 1.0 if self._conservative_now() else 0.0
 
     # ------------------------------------------------------------------
     # task-tree splitting (donor and receiver sides)

@@ -58,15 +58,16 @@ def plan_partitions(policy: "ShogunPolicy", helpers: int) -> List[Partition]:
     task = policy.tree.splittable_task(policy.pe.config.split_depth_limit)
     if task is None or task.children_vertices is None:
         return []
-    pool = policy.tree.harvest_split_pool(task)
+    tree = policy.tree
+    pool = tree.harvest_split_pool(task)
     if len(pool) < 2:
         # Put whatever was withdrawn back; nothing worth shipping.
-        task.children_vertices = task.children_vertices + pool
+        tree.set_children(task, task.children_vertices + pool)
         return []
     chunk = -(-len(pool) // (helpers + 1))
     shares = [pool[i : i + chunk] for i in range(0, len(pool), chunk)]
     # Donor keeps the first share: re-append it to its candidate list.
-    task.children_vertices = task.children_vertices + shares[0]
+    tree.set_children(task, task.children_vertices + shares[0])
     line_bytes = policy.pe.config.cache_line_bytes
     set_lines = 0
     node = task

@@ -12,8 +12,7 @@ task tree reconstructs by walking parent pointers.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -35,8 +34,6 @@ class TaskState(enum.Enum):
     COMPLETE = "complete"
     QUIESCED = "quiesced"
 
-
-_task_ids = itertools.count()
 
 
 @dataclass(slots=True)
@@ -95,7 +92,11 @@ class SimTask:
     #: before it completes).
     kept: Optional[np.ndarray] = None
     children_vertices: Optional[List[int]] = None
-    next_child: int = 0
+    #: The cursor behind :attr:`next_child`: this task's own, or the
+    #: ``(cursors, bunch)`` cell of the task-tree bunch its children
+    #: fill (:meth:`bind_cursor`).
+    _next: int = 0
+    _cursor: Optional[tuple] = None
     #: Materialized ancestor candidate sets visible to this task's
     #: children, cached so siblings share one list instead of each child
     #: re-walking the parent chain (the interpreted derive).
@@ -103,9 +104,38 @@ class SimTask:
     #: What this task's children derive from under the compiled derive,
     #: built once and shared by the siblings (``DeriveOps.frame``).
     child_frame: Optional[tuple] = None
-    task_id: int = field(default_factory=lambda: next(_task_ids))
 
     # ------------------------------------------------------------------
+    @property
+    def next_child(self) -> int:
+        """Index of the next unexplored entry of ``children_vertices``.
+
+        While the task's children fill a task-tree bunch, the tree owns
+        the cursor (the compiled event lane extends siblings from tree
+        state alone), and this reads and writes the tree's word.
+        """
+        cursor = self._cursor
+        if cursor is None:
+            return self._next
+        return cursor[0][cursor[1]]
+
+    @next_child.setter
+    def next_child(self, value: int) -> None:
+        cursor = self._cursor
+        if cursor is None:
+            self._next = value
+        else:
+            cursor[0][cursor[1]] = value
+
+    def bind_cursor(self, cursors, bunch: int) -> None:
+        """Hand the cursor to bunch ``bunch``'s word of ``cursors``."""
+        self._cursor = (cursors, bunch)
+
+    def unbind_cursor(self) -> None:
+        """Take the cursor back from the tree (its bunch recycles)."""
+        self._next = self.next_child
+        self._cursor = None
+
     @property
     def is_root(self) -> bool:
         """Whether this is a depth-0 (search-tree root) task."""
@@ -158,6 +188,6 @@ class SimTask:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SimTask(id={self.task_id}, d={self.depth}, v={self.vertex}, "
+            f"SimTask(d={self.depth}, v={self.vertex}, tree={self.tree}, "
             f"state={self.state.value})"
         )

@@ -63,9 +63,3 @@ def atomic_write_json(
         json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
         if newline:
             handle.write("\n")
-
-
-def atomic_write_text(path: PathLike, text: str) -> None:
-    """Atomically install ``text`` at ``path``."""
-    with atomic_open(path, "w") as handle:
-        handle.write(text)

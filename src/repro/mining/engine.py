@@ -54,18 +54,6 @@ class MiningStats:
         return sum(self.tasks_per_depth)
 
     @property
-    def candidates_generated(self) -> int:
-        """Candidates produced by expansions: spawned + pruned children.
-
-        This is the "spawned = executed + pruned" conservation law the
-        validation harness asserts: every generated candidate either
-        became an executed child task or was pruned by symmetry/used-
-        vertex filtering, and every executed task is a root or a spawned
-        child (``total_tasks == roots + children_spawned``).
-        """
-        return self.children_spawned + self.children_pruned
-
-    @property
     def avg_intermediate_lines_per_task(self) -> float:
         """Average intermediate-data cache lines per expanding task.
 

@@ -58,16 +58,9 @@ class CellSpec:
         The config fingerprint distinguishes cells that differ only in
         SimConfig (width sweeps, ablation overrides).
         """
-        fields = {
-            f.name: getattr(self.config, f.name)
-            for f in dataclasses.fields(self.config)
-        }
-        fingerprint = hashlib.sha256(
-            json.dumps(fields, sort_keys=True, default=repr).encode()
-        ).hexdigest()[:6]
         return (
             f"{self.dataset}-{self.pattern}/{self.policy}"
-            f"@{self.scale:g}+cfg:{fingerprint}"
+            f"@{self.scale:g}+cfg:{_config_fingerprint(self.config)}"
         )
 
     def coordinates(self) -> dict:
@@ -79,6 +72,20 @@ class CellSpec:
             "scale": self.scale,
             "verify": self.verify,
         }
+
+
+@lru_cache(maxsize=1024)
+def _config_fields(config: SimConfig) -> dict:
+    """Every ``SimConfig`` field by name, once per (frozen) config."""
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+
+
+@lru_cache(maxsize=1024)
+def _config_fingerprint(config: SimConfig) -> str:
+    """The short config digest of :meth:`CellSpec.label`."""
+    return hashlib.sha256(
+        json.dumps(_config_fields(config), sort_keys=True, default=repr).encode()
+    ).hexdigest()[:6]
 
 
 def group_key(spec: CellSpec) -> "tuple[str, str, float]":
@@ -125,10 +132,7 @@ def cell_key(spec: CellSpec) -> str:
         # but repr makes the canonical form explicit.
         "scale": repr(spec.scale),
         "verify": spec.verify,
-        "config": {
-            f.name: getattr(spec.config, f.name)
-            for f in dataclasses.fields(spec.config)
-        },
+        "config": _config_fields(spec.config),
         "salt": code_salt(),
     }
     blob = json.dumps(payload, sort_keys=True, default=repr)

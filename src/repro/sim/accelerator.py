@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
+import numpy as np
+
 from ..core.policies.base import SchedulingPolicy
 from ..core.policies.bfs import BFSPolicy
 from ..core.policies.group_dfs import DFSPolicy, GroupDFSPolicy
@@ -27,12 +29,12 @@ from ..errors import SimulationError
 from ..graph.csr import GRAPH_REGION_BASE, VERTEX_BYTES, CSRGraph
 from ..mining.tree import SearchContext
 from ..patterns.schedule import MatchingSchedule
-from .backend.macro import build_macro
+from .backend.macro import build_lane, build_macro
 from .config import DEFAULT_CONFIG, SimConfig
 from .engine import Engine
 from .memory import MemorySystem
 from .metrics import PEMetrics, RunMetrics
-from .pe import PE, PEStateVector, PolicyFactory
+from .pe import PE, LanePE, PEStateVector, PolicyFactory
 
 #: Registered scheduling policies by name.  ``fingers`` is an alias for
 #: pseudo-DFS, the baseline accelerator the paper compares against.
@@ -88,14 +90,17 @@ class Accelerator:
         self.graph_first_line: List[int] = first_line.tolist()
         self.graph_last_line: List[int] = last_line.tolist()
         factory = policy_factory(policy)
-        # The pipeline-unit columns the macro-step core books in place;
-        # every PE operates on its row.
-        self.pe_state = PEStateVector(config.num_pes)
-        self.pes: List[PE] = [PE(i, self, factory) for i in range(config.num_pes)]
-        # Macro-step engine core: binds every PE's fast path when the
-        # active backend is compiled (None under pure = per-event
-        # booking; see sim/backend/macro.py for the escape protocol).
-        self.macro = build_macro(self)
+        # The state compiled code books in place; every PE operates on
+        # its row.
+        self.pe_state = PEStateVector(config.num_pes, schedule.depth)
+        # A Shogun accelerator under a compiled backend runs the event
+        # lane, whose PEs keep their counters in ``pe_state``.
+        pe_class = (
+            LanePE
+            if factory is ShogunPolicy and self.memory._kernels.lane_bind
+            else PE
+        )
+        self.pes: List[PE] = [pe_class(i, self, factory) for i in range(config.num_pes)]
         self._roots: Deque[int] = deque()
         self._pe_roots: List[Deque[int]] = [deque() for _ in self.pes]
         self._static_dispatch = config.root_dispatch == "static"
@@ -107,6 +112,20 @@ class Accelerator:
         else:
             self._roots.extend(self.context.roots())
         self._undispatched = graph.num_vertices
+        #: Root-queue lengths the event lane reads: one per PE (static
+        #: dispatch), the shared queue, then the undispatched count.
+        self.root_words = np.array(
+            [len(q) for q in self._pe_roots]
+            + [len(self._roots), self._undispatched],
+            dtype=np.int64,
+        )
+        self._root_view = memoryview(self.root_words)
+        # Macro-step engine core: binds every PE's fast path when the
+        # active backend is compiled (None under pure = per-event
+        # booking; see sim/backend/macro.py for the escape protocol).
+        self.macro = build_macro(self)
+        # The compiled event lane and its C queue (LanePEs only).
+        self.lane = build_lane(self)
         self._tree_ids = 0
         self._finished = False
         self.finish_cycle = 0.0
@@ -142,6 +161,9 @@ class Accelerator:
             fed += 1
         if fed:
             self._undispatched -= fed
+            words = self._root_view
+            words[pe.pe_id if self._static_dispatch else -2] = len(queue)
+            words[-1] = self._undispatched
 
     def footprint_add(self, num_bytes: int) -> None:
         """Track a newly live candidate set."""

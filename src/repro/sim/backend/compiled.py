@@ -47,7 +47,7 @@ class KernelSet:
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
                  span_resident_stamp, ema_fold, tree_bind, macro_bind=None,
-                 derive_bind=None):
+                 derive_bind=None, lane_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
@@ -61,8 +61,8 @@ class KernelSet:
         #: extension pre-marshals the tree's array pointers into one
         #: struct).
         self.tree_bind = tree_bind
-        #: Macro-step binder ``(accel, spans, result) -> [book, ...]``,
-        #: one whole-task booking call per PE (the C extension
+        #: Macro-step binder ``(accel, spans, result) -> (books, cores,
+        #: pinned)``, one whole-task booking call per PE (the C extension
         #: pre-marshals pointers into per-PE structs); ``None`` for the
         #: pure backend, which books per-event.
         self.macro_bind = macro_bind
@@ -72,6 +72,11 @@ class KernelSet:
         #: spans into the macro core's ``spans``.  ``None`` for the pure
         #: backend, whose ``PE._derive`` runs ``SearchContext``.
         self.derive_bind = derive_bind
+        #: Event-lane binder ``(accel=None) -> ops`` (the C extension's
+        #: time queue plus the Shogun leaf-task cycle; a bare queue
+        #: without ``accel``).  ``None`` for the pure backend, whose
+        #: engine drains in Python.
+        self.lane_bind = lane_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.
     KERNELS = (
@@ -177,4 +182,5 @@ def make_kernel_set(name: str, lib) -> KernelSet:
         name, True, intersect, subtract, intersect_multi,
         span_resident_stamp, ema_fold, lib.tree_bind,
         macro_bind=lib.macro_bind, derive_bind=lib.derive_bind,
+        lane_bind=lib.lane_bind,
     )

@@ -32,9 +32,15 @@ Kernel contracts
     Fold ``n`` identical latencies into a ``PELatencyWindow``.
 
 ``tree_bind(state)``
-    The ``select``/``fill``/``complete`` ops every ``TaskTree``
-    decision goes through, bound over one tree's struct-of-arrays
-    state (see :func:`tree_bind`).
+    The ``select``/``fill``/``span``/``complete`` ops every
+    ``TaskTree`` decision goes through, bound over one tree's
+    struct-of-arrays state (see :func:`tree_bind`).
+
+``lane_bind(accel)``
+    Compiled backends only (``None`` here): the engine's time queue
+    plus a Shogun leaf task's whole cycle in one compiled drain.  Under
+    this backend ``Engine.run`` drains in Python and every event runs
+    its Python handler, the reference the lane mirrors.
 
 ``derive_bind(accel, spans)``
     Compiled backends only (``None`` here): one call derives a
@@ -137,14 +143,21 @@ def tree_bind(state):
         while anything executes.  Returns one flat list of Python ints
         holding a ``(slot, vertex, child_index, token, tree)`` record
         per pick.
-    ``fill(b, tree_id, quiesced, vertices, first, count)``
+    ``fill(b, tree_id, quiesced, vertices, first, count, address=-1)``
         Admit ``vertices[first:first + count]`` as tokenless Ready rows
-        of idle bunch ``b``.
+        of idle bunch ``b``, recording ``vertices`` as the bunch's
+        parent span (cursor ``first + count``, parent set address
+        ``address``, -1 for none).
+    ``span(b, vertices, navail, cursor, address)``
+        Record bunch ``b``'s parent span as is (``vertices=None``
+        clears it).
     ``complete(slot, b, has_children, children, first, navail,
-    parent_unexplored, ext_vertex, ext_position, tree_quiesced)``
+    address, tree_quiesced)``
         One completion transition: spawn-or-wait with children (the
-        filled bunch and count land in ``done``), extend-or-idle
-        without.  Returns a ``DONE_*`` code; the cold recycle edge
+        filled bunch and count land in ``done``; the bunch records
+        ``children`` as its parent span), extend-or-idle without — the
+        extension reads bunch ``b``'s parent span and advances its
+        cursor.  Returns a ``DONE_*`` code; the cold recycle edge
         stays with the caller.
     ``done``
         The ops' own 2-word spawn result ``[bunch, count]``.
@@ -167,12 +180,17 @@ def tree_bind(state):
     d_start = state.d_start
     d_end = state.d_end
     ctl = state.ctl
+    # The parent-span words are read as plain ints (memoryviews).
+    b_nkids = memoryview(state.b_nkids)
+    b_next = memoryview(state.b_next)
+    b_paddr = memoryview(state.b_paddr)
     nb = state.nb
     cap = state.cap
     max_depth = state.max_depth
     tokens_per_depth = state.tokens_per_depth
     records_cap = nb * cap
     done = [0, 0]
+    kids = [None] * nb  # each bunch's parent span
 
     def schedule(b):
         """Schedule one Ready entry out of bunch ``b`` (-1: token stall)."""
@@ -246,7 +264,7 @@ def tree_bind(state):
             count += 1
         return out
 
-    def fill(b, tree_id, quiesced, vertices, first, count):
+    def admit(b, tree_id, quiesced, vertices, first, count, navail, address):
         b_in_use[b] = 1
         b_tree[b] = tree_id
         b_quiesced[b] = quiesced
@@ -261,10 +279,21 @@ def tree_bind(state):
         ring_len[b] = count
         ctl[0] += count  # CTL_READY
         b_active[b] = count
+        span(b, vertices, navail, first + count, address)
+
+    def fill(b, tree_id, quiesced, vertices, first, count, address=-1):
+        admit(b, tree_id, quiesced, vertices, first, count, len(vertices),
+              address)
         return count
 
-    def complete(slot, b, has_children, children, first, navail,
-                 parent_unexplored, ext_vertex, ext_position, tree_quiesced):
+    def span(b, vertices, navail, cursor, address):
+        kids[b] = vertices
+        b_nkids[b] = navail
+        b_next[b] = cursor
+        b_paddr[b] = address
+
+    def complete(slot, b, has_children, children, first, navail, address,
+                 tree_quiesced):
         b_executing[b] -= 1
         ctl[1] -= 1  # CTL_EXECUTING
         if has_children:
@@ -278,18 +307,21 @@ def tree_bind(state):
             count = min(int(b_cap[target]), navail - first)
             if count <= 0:
                 return 5  # DONE_UNDERFLOW: nothing left to spawn
-            fill(target, b_tree[b], tree_quiesced, children, first, count)
+            admit(target, b_tree[b], tree_quiesced, children, first, count,
+                  navail, address)
             done[0] = target
             done[1] = count
             return 0  # DONE_SPAWNED
-        if parent_unexplored > 0:
+        cursor = b_next[b]
+        if b_nkids[b] - cursor > 0:
             # Extend: the entry and its address token explore the
             # parent's next unexplored candidate.
-            e_vertex[slot] = ext_vertex
-            e_child_index[slot] = ext_position
+            e_vertex[slot] = kids[b][cursor]
+            e_child_index[slot] = cursor
             ring[b * cap + (int(ring_head[b]) + int(ring_len[b])) % cap] = slot
             ring_len[b] += 1
             ctl[0] += 1  # CTL_READY
+            b_next[b] = cursor + 1
             return 2  # DONE_EXTENDED
         token = int(e_token[slot])
         if token >= 0:
@@ -304,4 +336,6 @@ def tree_bind(state):
             return 5  # DONE_UNDERFLOW
         return 3 if active else 4  # DONE_IDLED / DONE_RECYCLE
 
-    return SimpleNamespace(select=select, fill=fill, complete=complete, done=done)
+    return SimpleNamespace(
+        select=select, fill=fill, span=span, complete=complete, done=done
+    )

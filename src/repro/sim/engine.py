@@ -21,15 +21,18 @@ Two event shapes share the queue:
   one at a time as ``owner.dispatch_event(payload)``.  Task completions
   use this shape: no closure allocation per task.
 
-The drain inner loop itself lives in
-:mod:`repro.sim.backend.engine_loop`, shared by every backend — each
-drained event runs arbitrary Python, so the loop cannot move to C.
-What does move to C under a compiled backend is the booking *between*
-a task's two events: the macro-step core
-(:mod:`repro.sim.backend.macro`) collapses the start event's whole
-pipeline walk into one compiled call with a typed escape back to the
-per-event path, leaving this queue's event count and ordering exactly
-as before.
+Under the pure backend, and for every policy but Shogun, the drain
+inner loop is :func:`repro.sim.backend.engine_loop.drain`, in Python.
+Under a compiled backend a Shogun accelerator binds the **compiled
+event lane** (:class:`repro.sim.backend.engine_loop.EventLane`): the
+queue itself moves into C with the same ordering contract, Python
+callables and typed events ride it as opaque handles, and one C drain
+runs a leaf task's whole cycle (completion, kick, the dispatch pass
+that follows and the next leaf's booking) without a Python frame,
+returning to Python in event order for everything else.  The lane
+replaces :meth:`at`, :meth:`after`, :meth:`post` and :meth:`pending`
+on the bound engine and :meth:`run` hands it the drain; unbinding
+restores this class's queue.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class Engine:
         self._times: List[float] = []  # heap of distinct pending timestamps
         self._buckets: Dict[float, List[Callback]] = {}
         self._pending = 0  # queued events (kept in lockstep with _buckets)
+        self._lane = None  # the bound compiled event lane, if any
 
     def at(self, time: float, callback: Callback) -> None:
         """Schedule ``callback`` at absolute ``time`` (>= now)."""
@@ -116,4 +120,7 @@ class Engine:
         (later timestamps stay queued); a simulation never resumes a
         run that raised.
         """
+        lane = self._lane
+        if lane is not None:
+            return lane.run(until)
         return _drain(self, until)

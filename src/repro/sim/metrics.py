@@ -10,8 +10,16 @@ event counters (splitting rounds, merges, quiesces).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, FrozenSet, List
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls) -> FrozenSet[str]:
+    """A dataclass's field names, resolved once per class (warm cache
+    reads rebuild thousands of metrics objects)."""
+    return frozenset(f.name for f in dataclasses.fields(cls))
 
 
 @dataclass
@@ -49,7 +57,7 @@ class PEMetrics:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PEMetrics":
         """Rebuild from :meth:`to_dict` output; unknown keys are ignored."""
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _field_names(cls)
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
@@ -100,7 +108,7 @@ class RunMetrics:
     def from_dict(cls, data: Dict[str, object]) -> "RunMetrics":
         """Rebuild from :meth:`to_dict` output; unknown keys are ignored
         so cache entries written by a newer schema still load."""
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = _field_names(cls)
         payload = {k: v for k, v in data.items() if k in known}
         payload["per_pe"] = [PEMetrics.from_dict(p) for p in data.get("per_pe", [])]
         return cls(**payload)

@@ -14,14 +14,19 @@ and completion times, depth, vertex and PE.  Attach it to an
     trace.save_csv("trace.csv")
 
 The recorder is deliberately non-invasive: it wraps the PE's start and
-completion handlers, adds no simulation events, and changes no timing.
+completion handlers, adds no simulation events, changes no timing and
+reroutes nothing.  Under the compiled event lane, leaf tasks start and
+complete in C without calling those handlers; the lane then fills a
+span ring, which the recorder drains in event order (the ring exists
+only once a recorder attaches).  Spans are numbered by the recorder: a
+span's ``task_id`` is its task's position in its PE's start order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.task import SimTask
@@ -30,7 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class TaskSpan:
-    """One executed task's occupancy interval."""
+    """One executed task's occupancy interval.
+
+    ``task_id`` numbers the tasks of one PE in start order.
+    """
 
     pe: int
     task_id: int
@@ -50,39 +58,79 @@ class TraceRecorder:
     """Records a :class:`TaskSpan` for every task a device executes."""
 
     def __init__(self) -> None:
-        self.spans: List[TaskSpan] = []
-        self._starts: Dict[int, float] = {}
+        self._spans: List[TaskSpan] = []
+        #: Per PE: the tasks started so far, and the open spans by task
+        #: key (``(number, start)``).
+        self._started: Dict[int, int] = {}
+        self._open: Dict[int, Dict[int, Tuple[int, float]]] = {}
+        self._lane = None
+        self._leaf_depth = 0
+
+    @property
+    def spans(self) -> List[TaskSpan]:
+        """Every recorded span, in completion order."""
+        if self._lane is not None:
+            self._lane.flush()
+        return self._spans
 
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, accel: "Accelerator") -> "TraceRecorder":
-        """Wrap every PE of ``accel`` to feed this recorder."""
+        """Wrap every PE of ``accel`` (and drain its event lane's ring)."""
         recorder = cls()
+        lane = getattr(accel, "lane", None)
+        if lane is not None:
+            recorder._lane = lane
+            recorder._leaf_depth = accel.schedule.max_depth
+            lane.attach_ring(recorder._take_ring)
         for pe in accel.pes:
             recorder._wrap(pe)
         return recorder
 
+    def _start(self, pe_id: int, key: int, now: float) -> None:
+        number = self._started.get(pe_id, 0)
+        self._started[pe_id] = number + 1
+        self._open.setdefault(pe_id, {})[key] = (number, now)
+
+    def _finish(self, pe_id: int, key: int, tree: int, depth: int,
+                vertex: int, now: float) -> None:
+        opened = self._open.get(pe_id, {}).pop(key, None)
+        if opened is None:  # started before the recorder attached
+            self._start(pe_id, key, now)
+            opened = self._open[pe_id].pop(key)
+        number, begin = opened
+        self._spans.append(TaskSpan(
+            pe=pe_id, task_id=number, tree=tree, depth=depth, vertex=vertex,
+            start=begin, end=now,
+        ))
+
+    def _take_ring(self, ints, times, n: int) -> None:
+        """Replay ``n`` lane span events (see ``EventLane.attach_ring``)."""
+        depth = self._leaf_depth
+        for k in range(n):
+            kind, pe_id, slot, vertex, tree = ints[5 * k:5 * k + 5]
+            if kind == 0:
+                self._start(pe_id, slot, times[k])
+            else:
+                self._finish(pe_id, slot, tree, depth, vertex, times[k])
+
     def _wrap(self, pe) -> None:
         original_start = pe._start_task
         original_complete = pe._complete_task
+        lane = self._lane
+        pe_id = pe.pe_id
 
         def start_task(task: "SimTask"):
-            self._starts[task.task_id] = pe.engine.now
+            if lane is not None:
+                lane.flush()
+            self._start(pe_id, _key(task), pe.engine.now)
             return original_start(task)
 
         def complete_task(task: "SimTask"):
-            begin = self._starts.pop(task.task_id, pe.engine.now)
-            self.spans.append(
-                TaskSpan(
-                    pe=pe.pe_id,
-                    task_id=task.task_id,
-                    tree=task.tree,
-                    depth=task.depth,
-                    vertex=task.vertex,
-                    start=begin,
-                    end=pe.engine.now,
-                )
-            )
+            if lane is not None:
+                lane.flush()
+            self._finish(pe_id, _key(task), task.tree, task.depth,
+                         task.vertex, pe.engine.now)
             return original_complete(task)
 
         pe._start_task = start_task
@@ -194,7 +242,7 @@ class TraceRecorder:
                     raise ValueError(
                         f"malformed trace CSV row at {os.fspath(path)}:{lineno}"
                     )
-                recorder.spans.append(
+                recorder._spans.append(
                     TaskSpan(
                         pe=int(fields[0]),
                         task_id=int(fields[1]),
@@ -206,3 +254,9 @@ class TraceRecorder:
                     )
                 )
         return recorder
+
+
+def _key(task: "SimTask") -> int:
+    """A task's key among its PE's executing tasks: its task-tree entry
+    slot (the lane's span events carry it), else its identity."""
+    return task.slot if task.slot >= 0 else -1 - id(task)

@@ -6,10 +6,16 @@ The :class:`InvariantChecker` attaches to an
 task start/completion and the policy hooks with counting shims.  It adds
 no simulation events, changes no timing and reroutes nothing: a checked
 PE books through the same path as an unchecked one, the compiled
-macro-step core included, so a checked run produces bit-identical
-metrics.  What the checker adds is an independent set of task-flow books
-that :meth:`InvariantChecker.finalize` reconciles against the
-simulator's own counters after the run.  Memory and NoC traffic are not
+macro-step core and the compiled event lane included, so a checked run
+produces bit-identical metrics.  What the checker adds is an
+independent set of task-flow books that
+:meth:`InvariantChecker.finalize` reconciles against the simulator's
+own counters after the run.  Leaves the event lane runs in C never
+reach the shims; the lane keeps flat counters of its own (leaves
+started and completed, vertex fetches, slot-occupancy breaks, slots
+completed twice, buckets drained out of time order), which
+:meth:`~InvariantChecker.finalize` folds into the books before the
+laws are checked.  Memory and NoC traffic are not
 intercepted at all: the laws over them reconcile flat counters that the
 per-event path and the compiled core both update in place (cache
 hit/miss arrays, ``MemorySystem`` line counts, latency windows, the NoC
@@ -290,6 +296,33 @@ class InvariantChecker:
                     "the run drained",
                 )
 
+    def _fold_lane(self, lane) -> None:
+        """Add the event lane's leaf starts and completions to the books."""
+        self.tasks_started += lane["fast"]
+        self.tasks_completed += lane["completed"]
+        if self.executed_per_depth:
+            self.executed_per_depth[-1] += lane["completed"]
+        self.matches_seen += lane["completed"]
+        self.vertex_lines += lane["vertex_lines"]
+        if lane["slot_violations"]:
+            self._violate(
+                "slot-occupancy",
+                f"the event lane saw slots_used outside [0, width] "
+                f"{lane['slot_violations']} time(s)",
+            )
+        if lane["completed_twice"]:
+            self._violate(
+                "task-conservation",
+                f"the event lane completed {lane['completed_twice']} "
+                "slot(s) that held no booked task",
+            )
+        if lane["regressions"]:
+            self._violate(
+                "time-monotonic",
+                f"the event lane drained {lane['regressions']} bucket(s) "
+                "before the current time",
+            )
+
     # -- reconciliation ------------------------------------------------
     def finalize(self, metrics: Optional["RunMetrics"] = None) -> List[Violation]:
         """Reconcile all books against the simulator; returns violations.
@@ -302,6 +335,9 @@ class InvariantChecker:
         self._finalized = True
         accel = self.accel
         memory = accel.memory
+        lane = getattr(accel, "lane", None)
+        if lane is not None:
+            self._fold_lane(lane.counters())
 
         if self.tasks_started != self.tasks_completed:
             self._violate(

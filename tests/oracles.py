@@ -10,9 +10,10 @@ benchmarks) can diff the two:
 * :func:`legacy_drain` — the one-event-at-a-time drain of an
   :class:`repro.sim.Engine` queue with a ``max_events`` cap, the oracle
   for the bucket-at-a-time drain behind :meth:`repro.sim.Engine.run`.
-* :func:`unbind_macro` — per-event booking on a compiled backend, the
-  reference for the macro-step core, plus :func:`inject_escapes`,
-  which forces the core's escape path at chosen tasks.
+* :func:`unbind_macro` — per-event booking and the Python drain on a
+  compiled backend, the reference for the macro-step core and the
+  event lane, plus :func:`inject_escapes`, which forces the core's
+  escape path at chosen tasks.
 """
 
 from __future__ import annotations
@@ -152,8 +153,13 @@ def unbind_macro(accel):
     """Book every task of ``accel`` per-event; returns ``accel``.
 
     Drops the macro-step core a compiled backend bound at construction,
-    so the run takes the per-event path the pure backend always takes.
+    and with it the compiled event lane and its queue, so the run takes
+    the per-event path and the Python drain the pure backend always
+    takes.
     """
+    if accel.lane is not None:
+        accel.lane.unbind()
+        accel.lane = None
     accel.macro = None
     for pe in accel.pes:
         pe._macro = None

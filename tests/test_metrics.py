@@ -90,3 +90,16 @@ class TestSerialization:
         data["per_pe"][0]["novel_counter"] = 1
         rebuilt = RunMetrics.from_dict(data)
         assert rebuilt.matches == 42
+
+    def test_repeated_round_trips_are_exact(self):
+        # from_dict resolves each class's field names once; every later
+        # call must rebuild the same objects, every field included.
+        import dataclasses
+
+        original = self._run()
+        data = original.to_dict()
+        for _ in range(3):
+            rebuilt = RunMetrics.from_dict(data)
+            assert rebuilt == original
+            assert rebuilt.to_dict() == data
+        assert {f.name for f in dataclasses.fields(RunMetrics)} == set(data)

@@ -62,6 +62,58 @@ class TestCellKeys:
             monkeypatch.delenv("REPRO_CACHE_SALT")
             code_salt.cache_clear()
 
+    def test_key_and_label_match_the_uncached_formula(self, monkeypatch):
+        # Keys and labels resolve the config's fields and fingerprint once
+        # per config; they must stay byte-identical to the direct formula.
+        import dataclasses
+        import hashlib
+        import json
+
+        from repro.orchestrator.cells import code_salt
+
+        def fields(config):
+            return {
+                f.name: getattr(config, f.name)
+                for f in dataclasses.fields(config)
+            }
+
+        def old_key(spec):
+            payload = {
+                "dataset": spec.dataset, "pattern": spec.pattern,
+                "policy": spec.policy, "scale": repr(spec.scale),
+                "verify": spec.verify, "config": fields(spec.config),
+                "salt": code_salt(),
+            }
+            blob = json.dumps(payload, sort_keys=True, default=repr)
+            return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+        def old_label(spec):
+            fingerprint = hashlib.sha256(
+                json.dumps(fields(spec.config), sort_keys=True, default=repr).encode()
+            ).hexdigest()[:6]
+            return (
+                f"{spec.dataset}-{spec.pattern}/{spec.policy}"
+                f"@{spec.scale:g}+cfg:{fingerprint}"
+            )
+
+        monkeypatch.setenv("REPRO_CACHE_SALT", "pinned-for-the-key-test")
+        code_salt.cache_clear()
+        try:
+            configs = (
+                eval_config(),
+                eval_config(l1_kb=4, conservative_override=True),
+                eval_config(execution_width=2, enable_splitting=True),
+            )
+            for config in configs:
+                for policy in ("shogun", "fingers"):
+                    for _ in range(2):  # cold, then cached
+                        spec = _spec(config=config, policy=policy)
+                        assert cell_key(spec) == old_key(spec)
+                        assert spec.label() == old_label(spec)
+        finally:
+            monkeypatch.delenv("REPRO_CACHE_SALT")
+            code_salt.cache_clear()
+
 
 class TestPlanning:
     def test_figure3a_plan(self):

@@ -65,9 +65,6 @@ class TestAncestors:
 
 
 class TestIdentity:
-    def test_task_ids_unique(self):
-        assert make_task().task_id != make_task().task_id
-
     def test_embedding_extends_parent(self):
         root = make_task(depth=0, vertex=7)
         child = make_task(depth=1, vertex=3, parent=root)

@@ -273,10 +273,14 @@ def _script(name):
         for i, (slot, vertex, child_index, token, tree) in enumerate(records):
             b = slot // state.cap
             extend = token >= 0 and i % 2 == 0
-            action = ops.complete(
-                slot, b, 0, None, 0, 0,
-                1 if extend else 0, vertex + 1000, child_index, 0,
-            )
+            # The bunch's parent span decides: one unexplored candidate
+            # (vertex + 1000 at child_index) to extend onto, or none.
+            if extend:
+                kids = np.full(child_index + 1, vertex + 1000, dtype=np.int64)
+                ops.span(b, kids, child_index + 1, child_index, -1)
+            else:
+                ops.span(b, None, 0, 0, -1)
+            action = ops.complete(slot, b, 0, None, 0, 0, -1, 0)
             if extend:
                 assert action == DONE_EXTENDED
     snapshot = {field: getattr(state, field).copy() for field in SOA_ARRAYS}
