@@ -14,14 +14,19 @@ benchmarks) can diff the two:
   compiled backend, the reference for the macro-step core and the
   event lane, plus :func:`inject_escapes`, which forces the core's
   escape path at chosen tasks.
+* :class:`ReferenceGroupDFS` — pseudo-DFS as the recursive generator
+  the explicit walk of :class:`repro.core.GroupDFSPolicy` replaced, the
+  oracle for its task order, barriers and candidate-set releases.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-from repro.errors import ConfigError
+from repro.core.policies.base import SchedulingPolicy, chunked
+from repro.core.task import SimTask, TaskState
+from repro.errors import ConfigError, SimulationError
 
 
 class ReferenceCache:
@@ -185,3 +190,121 @@ def inject_escapes(accel, choose) -> List[int]:
 
         books[row] = escape_or_book
     return injected
+
+
+class ReferenceGroupDFS(SchedulingPolicy):
+    """Pseudo-DFS as a recursive generator yielding one task group at a
+    time: the policy dispatches the current group from ``select_task``
+    and advances the generator only when the group's last task completes
+    (the barrier).  Kept verbatim as the oracle for the explicit walk;
+    its tasks carry no slot (trace spans key them by identity)."""
+
+    name = "pseudo-dfs"
+
+    def __init__(self, pe, group_size: Optional[int] = None) -> None:
+        super().__init__(pe)
+        width = pe.config.execution_width
+        self.group_size = group_size if group_size is not None else width
+        if self.group_size < 1:
+            raise SimulationError("group size must be >= 1")
+        self._walk: Optional[Iterator[List[SimTask]]] = None
+        self._ready: List[SimTask] = []
+        self._outstanding = 0
+        self._tree_seq = 0
+
+    def wants_root(self) -> bool:
+        return self._walk is None
+
+    def add_root(self, vertex: int) -> None:
+        if self._walk is not None:
+            raise SimulationError("pseudo-DFS explores one tree at a time")
+        self._tree_seq += 1
+        self._walk = self._explore_root(vertex, self._tree_seq)
+        self._advance()
+
+    def select_task(self) -> Optional[SimTask]:
+        if not self._ready:
+            return None
+        task = self._ready.pop(0)
+        self._outstanding += 1
+        return task
+
+    def on_task_complete(self, task: SimTask) -> None:
+        self._outstanding -= 1
+        if self._outstanding == 0 and not self._ready:
+            # Barrier released: the whole group has completed.
+            self._advance()
+
+    def has_work(self) -> bool:
+        return self._walk is not None or self._outstanding > 0 or bool(self._ready)
+
+    def ready_count(self) -> int:
+        return len(self._ready)
+
+    def _advance(self) -> None:
+        """Pull the next task group from the exploration generator."""
+        if self._walk is None:
+            return
+        try:
+            group = next(self._walk)
+        except StopIteration:
+            self._walk = None
+            self._tree_finished()
+            return
+        self._ready.extend(group)
+
+    def _explore_root(self, root: int, tree: int) -> Iterator[List[SimTask]]:
+        """Generator yielding task groups in pseudo-DFS order."""
+        root_task = self._make_task(None, root, depth=0, tree=tree)
+        self._assign_buffer(root_task, 0)
+        yield [root_task]
+        kids = root_task.children_vertices
+        if kids is not None and len(kids):
+            yield from self._explore(root_task, kids, 1, tree)
+        self._release_set(root_task)
+
+    def _explore(
+        self, parent: SimTask, vertices: List[int], depth: int, tree: int
+    ) -> Iterator[List[SimTask]]:
+        size = self.group_size
+        prefix = parent.embedding
+        if depth < self.pe.schedule.max_depth:
+            # A non-leaf task writes its candidate set to its group
+            # slot's buffer (``_assign_buffer`` inlined: token = slot).
+            buffer_map = self.pe.buffer_map
+            base = buffer_map.address(depth, 0)
+            stride = buffer_map.buffer_bytes
+        else:
+            base = None
+        for chunk_index, chunk in enumerate(chunked(vertices, size)):
+            start = chunk_index * size
+            # SimTask positionally: (depth, vertex, embedding, parent,
+            # tree, child_index, state, token, set_address).
+            if base is None:
+                tasks = [
+                    SimTask(depth, v, prefix + (v,), parent, tree, start + slot, _READY)
+                    for slot, v in enumerate(chunk)
+                ]
+            else:
+                tasks = [
+                    SimTask(
+                        depth, v, prefix + (v,), parent, tree, start + slot,
+                        _READY, slot, base + slot * stride,
+                    )
+                    for slot, v in enumerate(chunk)
+                ]
+            yield tasks  # barrier: every task of the group must complete
+            for task in tasks:
+                kids = task.children_vertices
+                if kids is not None and len(kids):
+                    yield from self._explore(task, kids, depth + 1, tree)
+                self._release_set(task)
+
+    def _release_set(self, task: SimTask) -> None:
+        """The task's subtree is done; its candidate set is dead."""
+        if task.candidates is not None and task.set_address is not None:
+            self.pe.footprint_remove(len(task.candidates) * 4)
+        task.state = TaskState.IDLE
+
+
+_READY = TaskState.READY

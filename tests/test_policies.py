@@ -1,13 +1,19 @@
 """Behavioral unit tests for the scheduling policies themselves."""
 
-import pytest
+from unittest import mock
 
-from repro.core import chunked
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import GroupDFSPolicy, chunked
 from repro.errors import SimulationError
-from repro.graph import from_edges
-from repro.patterns import benchmark_schedule
+from repro.graph import erdos_renyi_gnm, from_edges, rmat
+from repro.patterns import benchmark_schedule, benchmark_schedules
 from repro.sim import SimConfig
-from repro.sim.accelerator import Accelerator
+from repro.sim.accelerator import POLICIES, Accelerator
+from repro.sim.trace import TraceRecorder
+from tests.oracles import ReferenceGroupDFS
 
 
 def fresh_pe(graph, policy, code="4cl", **cfg):
@@ -77,6 +83,47 @@ class TestGroupDFS:
         assert policy.ready_count() == 0
         policy.add_root(4)
         assert policy.ready_count() == 1
+
+
+def _walk_run(graph, schedule, policy_class, group, num_pes):
+    """One pure-backend fingers run with ``policy_class`` at group size
+    ``group`` (``None`` = the execution width): metrics and spans."""
+    config = SimConfig(num_pes=num_pes, backend="pure")
+
+    def factory(pe):
+        return policy_class(pe, group_size=group)
+
+    with mock.patch.dict(POLICIES, {"fingers": factory}):
+        accel = Accelerator(graph, schedule, config, "fingers")
+    recorder = TraceRecorder.attach(accel)
+    metrics = accel.run()
+    return metrics.to_dict(), recorder.spans
+
+
+class TestGroupDFSWalk:
+    """The explicit walk against the recursive generator it replaced:
+    the same task order, barriers and set releases, so the same whole
+    run and the same trace, for every group size the lane sees."""
+
+    @pytest.mark.parametrize("num_pes", (1, 4))
+    @pytest.mark.parametrize("group", (1, 2, 3, None), ids=("1", "2", "3", "width"))
+    @settings(max_examples=3, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(("er", "rmat")),
+        n=st.integers(14, 24),
+        degree=st.integers(2, 4),
+    )
+    def test_walk_matches_the_generator(self, group, num_pes, seed, kind, n, degree):
+        if kind == "er":
+            graph = erdos_renyi_gnm(n, degree * n, seed=seed, name="er")
+        else:
+            graph = rmat(5, 2.0 * degree, seed=seed, name="rmat")
+        for schedule in benchmark_schedules():
+            walk = _walk_run(graph, schedule, GroupDFSPolicy, group, num_pes)
+            ref = _walk_run(graph, schedule, ReferenceGroupDFS, group, num_pes)
+            assert walk == ref, (schedule.name, group, num_pes)
 
 
 class TestBFS:
