@@ -129,6 +129,16 @@ class ShogunPolicy(SchedulingPolicy):
         self._published = words
         self._publish()
 
+    def lane_task(self, slot: int) -> SimTask:
+        """The Executing leaf in entry ``slot`` (a lane completion
+        handed back)."""
+        return self.tree.leaf_task(slot)
+
+    def lane_rest(self, first: int, count: int) -> List[SimTask]:
+        """Records ``[first, count)`` of the last selection: the rest of
+        a dispatch pass the lane stopped."""
+        return self.tree.select_rest(first, count)
+
     def _publish(self) -> None:
         words = self._published
         words[0] = self._next_epoch

@@ -458,6 +458,11 @@ class TaskTree:
             ))
         return tasks
 
+    def select_rest(self, first: int, count: int) -> List[SimTask]:
+        """Tasks for records ``[first, count)`` of the last ``select``
+        op call (a dispatch pass the event lane stopped part-way)."""
+        return self.tasks_from_records(self._ops.rest(first, count))
+
     def leaf_task(self, slot: int) -> SimTask:
         """The Executing leaf in entry ``slot``, built from its row.
 

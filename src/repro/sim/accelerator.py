@@ -48,6 +48,10 @@ POLICIES: Dict[str, Callable[[PE], SchedulingPolicy]] = {
 }
 
 
+#: Policies whose leaf tasks run through the compiled event lane.
+LANE_POLICIES = (ShogunPolicy, GroupDFSPolicy, DFSPolicy)
+
+
 def policy_factory(name: str) -> PolicyFactory:
     """Look up a policy constructor by name."""
     try:
@@ -93,11 +97,12 @@ class Accelerator:
         # The state compiled code books in place; every PE operates on
         # its row.
         self.pe_state = PEStateVector(config.num_pes, schedule.depth)
-        # A Shogun accelerator under a compiled backend runs the event
-        # lane, whose PEs keep their counters in ``pe_state``.
+        # A Shogun or pseudo-DFS accelerator under a compiled backend
+        # runs the event lane, whose PEs keep their counters in
+        # ``pe_state``.
         pe_class = (
             LanePE
-            if factory is ShogunPolicy and self.memory._kernels.lane_bind
+            if factory in LANE_POLICIES and self.memory._kernels.lane_bind
             else PE
         )
         self.pes: List[PE] = [pe_class(i, self, factory) for i in range(config.num_pes)]

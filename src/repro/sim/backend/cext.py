@@ -964,7 +964,8 @@ int64_t repro_derive(const repro_derive_t *k, const repro_frame_t *f,
 }
 
 /* Compiled event lane: the engine's time queue, plus the whole cycle of
- * a Shogun leaf task (completion, kick, dispatch pass, leaf booking).
+ * a leaf task (completion, kick, dispatch pass, leaf booking) of a
+ * Shogun or pseudo-DFS PE.
  *
  * The queue is a binary heap of (time, seq, event) entries; seq is a
  * global push counter, so the heap pops every time's events in FIFO
@@ -986,12 +987,18 @@ int64_t repro_derive(const repro_derive_t *k, const repro_frame_t *f,
  * an allocation failure; or -1 once the queue is empty or past bound.
  *
  * The C mirrors, statement for statement, PE._complete_task and
- * PE._dispatch (sim/pe.py), ShogunPolicy.on_task_complete and
- * select_tasks, TaskTree.on_complete and select_batch and the leaf
- * branch of MacroCore.start; each returns the whole event to Python up
- * front (having written nothing) when a precondition fails: merging,
- * a monitor epoch boundary, a recycling or underflowing bunch, a root
- * to feed.
+ * PE._dispatch (sim/pe.py), the leaf branch of MacroCore.start and the
+ * policy's side: for a Shogun PE (tree != NULL)
+ * ShogunPolicy.on_task_complete and select_tasks, TaskTree.on_complete
+ * and select_batch; for a pseudo-DFS PE (walk != NULL) the leaf level of
+ * GroupDFSPolicy (core/policies/group_dfs.py) over the walk's flat
+ * words: a leaf's completion, the group barrier, the next chunk of the
+ * parent's kept children, and a dispatch pass booking the current leaf
+ * group's members in order.  Each returns the whole event to Python up
+ * front (having written nothing) when a precondition fails: merging, a
+ * monitor epoch boundary, a recycling or underflowing bunch, a root to
+ * feed; for a pseudo-DFS PE, a completion ending the leaf level and a
+ * dispatch whose current group is not a leaf group.
  */
 #define REPRO_EV_PY 0
 #define REPRO_EV_DONE 1
@@ -1005,6 +1012,16 @@ int64_t repro_derive(const repro_derive_t *k, const repro_frame_t *f,
 #define REPRO_CTL_LIVE 8
 #define REPRO_CTL_LANE_SELECT 9
 #define REPRO_CTL_LANE_COMPLETE 10
+
+/* the pseudo-DFS walk's words (repro.core.policies.group_dfs.W_*) */
+#define REPRO_W_LIVE 0
+#define REPRO_W_START 1
+#define REPRO_W_COUNT 2
+#define REPRO_W_NEXT 3
+#define REPRO_W_OUT 4
+#define REPRO_W_NKIDS 5
+#define REPRO_W_PADDR 6
+#define REPRO_W_TREE 7
 
 /* lane counters per PE (repro.sim.backend.engine_loop.LANE_COUNTERS) */
 #define REPRO_LS_FAST 0
@@ -1022,7 +1039,11 @@ typedef struct {
 
 typedef struct {
     repro_core_t *core;        /* the PE's macro-step struct */
-    repro_tree_t *tree;        /* the PE's task-tree ops struct */
+    repro_tree_t *tree;        /* Shogun: the task-tree ops struct */
+    int64_t *walk;             /* pseudo-DFS: the walk's words */
+    const int64_t *kids;       /* pseudo-DFS: the leaf level's kept
+                                  children, pinned per level */
+    const int64_t *live;       /* has work: ctl[CTL_LIVE] or walk[LIVE] */
     int64_t *iw;               /* [slots_used, tasks_executed, matches,
                                   kick_pending] */
     double *fw;                /* [last_integrate, busy_slot_cycles,
@@ -1031,8 +1052,10 @@ typedef struct {
     const double *policy;      /* [next_epoch, conservative], published */
     const int64_t *roots;      /* root queue feeding this PE, published */
     int64_t *stat;             /* REPRO_LS_WORDS lane counters */
-    int64_t *inflight;         /* per entry slot: booked by the lane */
+    int64_t *inflight;         /* per entry slot (Shogun) or group member
+                                  (pseudo-DFS): booked by the lane */
     int64_t width;
+    int64_t size;              /* pseudo-DFS group size */
     int64_t merging;
 } repro_lane_pe_t;
 
@@ -1173,7 +1196,7 @@ static void repro_lane_integrate(repro_lane_pe_t *P, double now)
     if (dt <= 0) return;
     int64_t used = P->iw[0];
     P->fw[1] += (double)used * dt;
-    if (P->tree->ctl[REPRO_CTL_LIVE] > 0) {
+    if (*P->live > 0) {
         int64_t idle = P->width - used;
         if (idle > 0) P->fw[2] += (double)idle * dt;
     }
@@ -1181,31 +1204,61 @@ static void repro_lane_integrate(repro_lane_pe_t *P, double now)
 }
 
 /* A lane-booked leaf completes: PE._complete_task, then the policy's
- * on_task_complete (epoch check, the tree's childless complete op)
- * and the kick. */
+ * on_task_complete (Shogun: the epoch check and the tree's childless
+ * complete op; pseudo-DFS: the barrier and the next chunk) and the
+ * kick. */
 static int64_t repro_lane_complete(repro_lane_t *L, int64_t ev)
 {
     const int64_t x = ev >> 3;
     const int64_t pe = x % L->num_pes, slot = x / L->num_pes;
     repro_lane_pe_t *P = &L->pes[pe];
     repro_tree_t *t = P->tree;
-    const int64_t b = slot / t->cap;
+    int64_t *w = P->walk;
+    int64_t b = 0;
     if (!P->inflight[slot]) P->stat[REPRO_LS_TWICE] += 1;
     P->inflight[slot] = 0;
     if (P->merging || L->now >= P->policy[0]) return ev;
-    if (t->b_nkids[b] - t->b_next[b] <= 0 && t->b_active[b] <= 1)
-        return ev;  /* the bunch recycles (or underflows): Python */
+    if (w != NULL) {
+        /* The barrier's release with no children left ends the level:
+         * Python pops the walk. */
+        if (w[REPRO_W_OUT] <= 1 && w[REPRO_W_NEXT] >= w[REPRO_W_COUNT] &&
+            w[REPRO_W_START] + w[REPRO_W_COUNT] >= w[REPRO_W_NKIDS])
+            return ev;
+    } else {
+        b = slot / t->cap;
+        if (t->b_nkids[b] - t->b_next[b] <= 0 && t->b_active[b] <= 1)
+            return ev;  /* the bunch recycles (or underflows): Python */
+    }
 
-    if (L->ring != NULL)
-        repro_lane_record(L, 1, pe, slot, t->e_vertex[slot], t->b_tree[b]);
+    if (L->ring != NULL) {
+        if (w != NULL)
+            repro_lane_record(L, 1, pe, slot,
+                              P->kids[w[REPRO_W_START] + slot],
+                              w[REPRO_W_TREE]);
+        else
+            repro_lane_record(L, 1, pe, slot, t->e_vertex[slot],
+                              t->b_tree[b]);
+    }
     repro_lane_integrate(P, L->now);
     P->iw[1] += 1;
     P->depth_executed[L->max_depth] += 1;
     P->iw[2] += 1;
     P->iw[0] -= 1;
     if (P->iw[0] < 0) P->stat[REPRO_LS_SLOTS] += 1;
-    t->ctl[REPRO_CTL_LANE_COMPLETE] += 1;
-    repro_tree_complete(t, slot, b, 0, NULL, 0, 0, -1, 0);
+    if (w != NULL) {
+        w[REPRO_W_OUT] -= 1;
+        if (w[REPRO_W_OUT] == 0 && w[REPRO_W_NEXT] >= w[REPRO_W_COUNT]) {
+            /* Barrier released: the parent's next chunk. */
+            const int64_t start = w[REPRO_W_START] + P->size;
+            const int64_t left = w[REPRO_W_NKIDS] - start;
+            w[REPRO_W_START] = start;
+            w[REPRO_W_COUNT] = left < P->size ? left : P->size;
+            w[REPRO_W_NEXT] = 0;
+        }
+    } else {
+        t->ctl[REPRO_CTL_LANE_COMPLETE] += 1;
+        repro_tree_complete(t, slot, b, 0, NULL, 0, 0, -1, 0);
+    }
     P->stat[REPRO_LS_DONE] += 1;
     if (!P->iw[3]) {
         P->iw[3] = 1;
@@ -1215,55 +1268,92 @@ static int64_t repro_lane_complete(repro_lane_t *L, int64_t ev)
     return 0;
 }
 
-/* A dispatch pass: PE._dispatch with ShogunPolicy.select_tasks, booking
+/* One lane-booked leaf: its slot, counters, span record and completion
+ * event (member is its entry slot or group member index). */
+static int64_t repro_lane_booked(repro_lane_t *L, repro_lane_pe_t *P,
+                                 int64_t pe, int64_t member, int64_t line,
+                                 int64_t vertex, int64_t tree_id)
+{
+    P->iw[0] += 1;
+    if (P->iw[0] > P->width) P->stat[REPRO_LS_SLOTS] += 1;
+    P->stat[REPRO_LS_FAST] += 1;
+    if (line >= 0) P->stat[REPRO_LS_VLINES] += 1;
+    P->inflight[member] = 1;
+    if (L->ring != NULL) repro_lane_record(L, 0, pe, member, vertex, tree_id);
+    return repro_lane_push(L, P->core->result[0],
+                           ((member * L->num_pes + pe) << 3) | REPRO_EV_DONE);
+}
+
+/* A dispatch pass: PE._dispatch with ShogunPolicy.select_tasks (booking
  * leaf records through the macro-step fast path up to the first record
- * it cannot book. */
+ * it cannot book) or with GroupDFSPolicy.select_task over the current
+ * leaf group (booking its undispatched members in order, up to the
+ * first whose vertex line misses). */
 static int64_t repro_lane_dispatch(repro_lane_t *L, int64_t pe)
 {
     repro_lane_pe_t *P = &L->pes[pe];
     repro_tree_t *t = P->tree;
+    int64_t *w = P->walk;
     const double now = L->now;
     const int64_t free_slots = P->width - P->iw[0];
-    if (P->merging || (P->roots[0] > 0 && t->ctl[REPRO_CTL_LIVE] == 0) ||
-        (free_slots > 0 && now >= P->policy[0]))
+    if (P->merging || (P->roots[0] > 0 && *P->live == 0) ||
+        (free_slots > 0 && now >= P->policy[0]) ||
+        (w != NULL && *P->live > 0 && w[REPRO_W_COUNT] == 0))
         return (pe << 3) | REPRO_EV_KICK;
 
     P->iw[3] = 0;
     if (now > P->fw[0]) repro_lane_integrate(P, now);
-    int64_t count = 0, i;
-    if (free_slots > 0 && t->ctl[0] > 0) {
-        t->ctl[REPRO_CTL_LANE_SELECT] += 1;
-        count = repro_tree_select(t, P->policy[1] != 0.0 ? 1 : 0, free_slots);
-    }
-    for (i = 0; i < count; i++) {
-        const int64_t *rec = t->records + 5 * i;
-        const int64_t slot = rec[0], b = slot / t->cap;
-        if (t->b_depth[b] < L->max_depth) break;
-        const int64_t paddr = t->b_paddr[b];
-        const int64_t line =
-            paddr >= 0 ? (paddr + rec[2] * 4) / L->line_bytes : -1;
-        if (repro_task_fastpath(P->core, now, 1, line, -1, -1, -1, -1,
-                                0, 0, 0) != 0)
-            break;
-        P->iw[0] += 1;
-        if (P->iw[0] > P->width) P->stat[REPRO_LS_SLOTS] += 1;
-        P->stat[REPRO_LS_FAST] += 1;
-        if (line >= 0) P->stat[REPRO_LS_VLINES] += 1;
-        P->inflight[slot] = 1;
-        if (L->ring != NULL) repro_lane_record(L, 0, pe, slot, rec[1], rec[4]);
-        if (repro_lane_push(L, P->core->result[0],
-                            ((slot * L->num_pes + pe) << 3) | REPRO_EV_DONE))
-            return REPRO_EV_NOMEM;
-    }
-    if (i < count) {
-        L->handoff[0] = i;
-        L->handoff[1] = count;
-        return (pe << 3) | REPRO_EV_REST;
+    if (w != NULL) {
+        const int64_t paddr = w[REPRO_W_PADDR];
+        int64_t j;
+        while ((j = w[REPRO_W_NEXT]) < w[REPRO_W_COUNT] &&
+               P->iw[0] < P->width) {
+            const int64_t i = w[REPRO_W_START] + j;
+            const int64_t line =
+                paddr >= 0 ? (paddr + i * 4) / L->line_bytes : -1;
+            if (repro_task_fastpath(P->core, now, 1, line, -1, -1, -1, -1,
+                                    0, 0, 0) != 0) {
+                L->handoff[0] = j;
+                L->handoff[1] = w[REPRO_W_COUNT];
+                return (pe << 3) | REPRO_EV_REST;
+            }
+            w[REPRO_W_NEXT] = j + 1;
+            w[REPRO_W_OUT] += 1;
+            if (repro_lane_booked(L, P, pe, j, line,
+                                  L->ring != NULL ? P->kids[i] : 0,
+                                  w[REPRO_W_TREE]))
+                return REPRO_EV_NOMEM;
+        }
+    } else {
+        int64_t count = 0, i;
+        if (free_slots > 0 && t->ctl[0] > 0) {
+            t->ctl[REPRO_CTL_LANE_SELECT] += 1;
+            count = repro_tree_select(t, P->policy[1] != 0.0 ? 1 : 0,
+                                      free_slots);
+        }
+        for (i = 0; i < count; i++) {
+            const int64_t *rec = t->records + 5 * i;
+            const int64_t slot = rec[0], b = slot / t->cap;
+            if (t->b_depth[b] < L->max_depth) break;
+            const int64_t paddr = t->b_paddr[b];
+            const int64_t line =
+                paddr >= 0 ? (paddr + rec[2] * 4) / L->line_bytes : -1;
+            if (repro_task_fastpath(P->core, now, 1, line, -1, -1, -1, -1,
+                                    0, 0, 0) != 0)
+                break;
+            if (repro_lane_booked(L, P, pe, slot, line, rec[1], rec[4]))
+                return REPRO_EV_NOMEM;
+        }
+        if (i < count) {
+            L->handoff[0] = i;
+            L->handoff[1] = count;
+            return (pe << 3) | REPRO_EV_REST;
+        }
     }
     if (L->undispatched[0] == 0) {
         /* Accelerator.check_done: finished only once no PE has work. */
         for (int64_t p = 0; p < L->num_pes; p++)
-            if (L->pes[p].tree->ctl[REPRO_CTL_LIVE] > 0) return 0;
+            if (*L->pes[p].live > 0) return 0;
         return REPRO_EV_CHECK;
     }
     return 0;
@@ -1434,6 +1524,9 @@ typedef struct {
 typedef struct {
     repro_core_t *core;
     repro_tree_t *tree;
+    int64_t *walk;
+    const int64_t *kids;
+    const int64_t *live;
     int64_t *iw;
     double *fw;
     int64_t *depth_executed;
@@ -1442,6 +1535,7 @@ typedef struct {
     int64_t *stat;
     int64_t *inflight;
     int64_t width;
+    int64_t size;
     int64_t merging;
 } repro_lane_pe_t;
 typedef struct {
@@ -1538,7 +1632,7 @@ class _TreeOps:
     """One tree's bound ops (:meth:`_CLib.tree_bind`)."""
 
     __slots__ = (
-        "select", "fill", "span", "complete", "done", "struct", "records",
+        "select", "fill", "span", "complete", "rest", "done", "struct",
         "_keep",
     )
 
@@ -1920,7 +2014,9 @@ class _CLib:
         which the owning :class:`~repro.core.task_tree.TaskTree` holds.
         A bunch's parent span is pinned once, when the bunch takes it
         (a spawn, a fill or ``span``), and released when it is replaced.
-        ``struct`` and ``records`` are exposed for the event lane.
+        ``struct`` is exposed for the event lane, and ``rest(first,
+        count)`` reads back records ``[first, count)`` of the lane's
+        last selection.
         """
         ffi = self._ffi
         i64 = self._i64
@@ -1974,7 +2070,6 @@ class _CLib:
         ops = _TreeOps()
         ops.done = done
         ops.struct = tree
-        ops.records = records
         ops._keep = (keep, kids, pins)
 
         def select(conservative, k, _t=tree, _f=lib.repro_tree_select,
@@ -2009,10 +2104,14 @@ class _CLib:
                 pins[_done[0]] = pin
             return action
 
+        def rest(first, count, _unpack=ffi.unpack, _r=records):
+            return _unpack(_r + 5 * first, 5 * (count - first))
+
         ops.select = select
         ops.fill = fill
         ops.span = span
         ops.complete = complete
+        ops.rest = rest
         return ops
 
     def derive_bind(self, accel, spans):
@@ -2141,17 +2240,21 @@ class _CLib:
 
         One ``repro_lane_t`` owns the time queue (a heap allocated in C,
         sized for every PE's execution slots plus a kick each, grown on
-        demand) and points, per PE, at the PE's macro-step struct and
-        task-tree struct and at the flat words the PE, its policy and
-        the accelerator keep in ``accel.pe_state`` and
-        ``accel.root_words``.  With ``accel=None`` the lane is a bare
-        event queue (Python events only).  Every buffer is a numpy
-        array pinned here; Python reads them through memoryviews.
+        demand) and points, per PE, at the PE's macro-step struct, at
+        its policy's state — a Shogun policy's task-tree struct, or a
+        pseudo-DFS policy's walk words (``policy.words``) — and at the
+        flat words the PE, its policy and the accelerator keep in
+        ``accel.pe_state`` and ``accel.root_words``.  With
+        ``accel=None`` the lane is a bare event queue (Python events
+        only).  Every buffer is a numpy array pinned here; Python reads
+        them through memoryviews.
 
         Returns a namespace of bound calls (``drain``, ``push``,
-        ``drop``, ``kick(pe)``, ``rest(pe, first, count)``,
-        ``attach_ring(capacity)``) and views (``qs``, ``clock``,
-        ``handoff``, ``stat``).
+        ``drop``, ``kick(pe)``, ``attach_ring(capacity)``), views
+        (``qs``, ``clock``, ``handoff``, ``stat``) and ``spans``: per
+        PE, ``None`` for a Shogun PE, else the call that pins a leaf
+        level's kept children (an ``int64`` array) for the lane and
+        returns the pin, which the caller keeps alive.
         """
         ffi = self._ffi
         lib = self._lib
@@ -2181,8 +2284,11 @@ class _CLib:
         lane.handoff = pin(i64, handoff)
         lane.num_pes = num_pes
         lane.max_width = width
-        records = []
+        spans = []
         if accel is not None:
+            from ...core.policies.group_dfs import W_LIVE
+            from ...core.task_tree import CTL_LIVE
+
             state = accel.pe_state
             words = accel.root_words
             nc, nf, nd = state.count_words, state.clock_words, state.depth
@@ -2201,12 +2307,26 @@ class _CLib:
             static = config.root_dispatch == "static"
             cores = accel.macro.cores
             for i, pe in enumerate(pes):
-                ops = pe.policy.tree._ops
-                tstate = pe.policy.tree.state
-                inflight = np.zeros(tstate.nb * tstate.cap, dtype=np.int64)
                 P = structs[i]
+                tree = getattr(pe.policy, "tree", None)
+                if tree is not None:
+                    ops = tree._ops
+                    inflight = np.zeros(tree.state.nb * tree.state.cap, dtype=np.int64)
+                    P.tree = ops.struct
+                    P.live = ops.struct.ctl + CTL_LIVE
+                    P.merging = 1 if config.enable_merging else 0
+                    keep.append(ops)  # the struct P points at
+                    spans.append(None)
+                else:
+                    size = pe.policy.group_size
+                    inflight = np.zeros(size, dtype=np.int64)
+                    P.walk = pin(i64, pe.policy.words)
+                    P.live = P.walk + W_LIVE
+                    P.size = size
+                    spans.append(functools.partial(
+                        _pin_kids, structs, i, ffi.from_buffer, i64
+                    ))
                 P.core = cores[i]
-                P.tree = ops.struct
                 P.iw = counts + i * nc
                 P.fw = clocks + i * nf
                 P.depth_executed = depths + i * nd
@@ -2215,15 +2335,9 @@ class _CLib:
                 P.stat = stats + i * LANE_STAT_WORDS
                 P.inflight = pin(i64, inflight)
                 P.width = width
-                P.merging = 1 if config.enable_merging else 0
-                records.append(ops.records)
-                keep.extend((cores[i], ops))  # the structs P points at
+                keep.append(cores[i])  # the struct P points at
 
         drain = functools.partial(lib.repro_lane_drain, lane)
-        unpack = ffi.unpack
-
-        def rest(pe, first, count):
-            return unpack(records[pe] + 5 * first, 5 * (count - first))
 
         def attach_ring(capacity):
             ints = np.zeros(5 * capacity, dtype=np.int64)
@@ -2238,14 +2352,23 @@ class _CLib:
             push=functools.partial(lib.repro_lane_push, lane),
             drop=functools.partial(lib.repro_lane_drop, lane),
             kick=functools.partial(lib.repro_lane_kick, lane),
-            rest=rest,
             attach_ring=attach_ring,
             qs=memoryview(qs),
             clock=memoryview(clock),
             handoff=memoryview(handoff),
             stat=memoryview(stat),
+            spans=spans,
             _keep=(lane, keep),
         )
+
+
+def _pin_kids(structs, i, from_buffer, i64, kids):
+    """Point lane PE struct ``structs[i]`` at a leaf level's kept
+    children.  Holding ``structs`` keeps the struct array alive for as
+    long as the policy holds this call, lane unbound or not."""
+    pin = from_buffer(i64, kids)
+    structs[i].kids = pin
+    return pin
 
 
 def make_kernels():

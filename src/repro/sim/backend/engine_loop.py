@@ -4,8 +4,8 @@ Two drains share one ordering contract — a heap of distinct times, each
 time's events in FIFO (= scheduling) order, events scheduled at the
 current time running after the current bucket:
 
-* :func:`drain`, in Python, drains every pure-backend run and every
-  policy but Shogun.  Each drained event runs its Python handler:
+* :func:`drain`, in Python, drains every pure-backend run and the BFS
+  and parallel-DFS policies.  Each drained event runs its Python handler:
   typed events — ``(owner, payload)`` tuples posted by
   :meth:`Engine.post` — dispatch as ``owner.dispatch_event(payload)``
   without a closure per event, and ``Engine._pending`` is maintained
@@ -13,21 +13,27 @@ current time running after the current bucket:
   callback exception the rest of the bucket is dropped with it —
   ``_pending`` was already debited for the whole bucket, so the counter
   stays consistent with the queue.
-* :class:`EventLane` drives the **compiled event lane** a Shogun
-  accelerator binds under a compiled backend.  The queue lives in C
-  (``repro_lane_drain`` in :mod:`.cext`), and C owns a leaf task's
-  whole cycle: its completion (slot integrals, PE counters, the tree's
-  ``complete`` op extending or idling the entry), the kick, and the
-  dispatch pass that follows (``select``, then the macro core's leaf
-  booking, which posts the next completion into the same queue).  No
+* :class:`EventLane` drives the **compiled event lane** a Shogun or
+  pseudo-DFS (FINGERS, DFS) accelerator binds under a compiled
+  backend.  The queue lives in C (``repro_lane_drain`` in :mod:`.cext`),
+  and C owns a leaf task's whole cycle: its completion (slot integrals,
+  PE counters, then Shogun's tree ``complete`` op extending or idling
+  the entry, or pseudo-DFS's group barrier and the next chunk of the
+  parent's children), the kick, and the dispatch pass that follows
+  (Shogun's ``select`` or the current leaf group's undispatched
+  members, then the macro core's leaf booking, which posts the next
+  completion into the same queue).  No
   :class:`~repro.core.task.SimTask` is built for such a leaf.  The C
   drain returns to Python, in event order, for everything else: Python
   events (callables and typed events ride the queue as handles into
   :attr:`EventLane._events`), non-leaf starts and leaves whose vertex
-  line misses (the rest of a dispatch pass's records, in order),
-  completions of recycling bunches, monitor epoch boundaries, merging,
+  line misses (the rest of a dispatch pass, in order), completions of
+  recycling bunches and completions ending a pseudo-DFS leaf level,
+  dispatches of a non-leaf group, monitor epoch boundaries, merging,
   root feeding and the run-completion check.  Those run the same
-  Python code the pure drain runs.
+  Python code the pure drain runs; a handed-back completion or pass
+  rest resolves to tasks through the policy (``lane_task`` and
+  ``lane_rest``).
 
 The engine tests hold both drains to a one-event-at-a-time drain kept
 with the test oracles, and the lane's whole-run metrics, trace spans
@@ -199,7 +205,7 @@ class EventLane:
                 elif kind == _DONE:
                     x = code >> 3
                     pe = pes[x % npes]
-                    pe.dispatch_event(pe.policy.tree.leaf_task(x // npes))
+                    pe.dispatch_event(pe.policy.lane_task(x // npes))
                 elif kind == _KICK:
                     pes[code >> 3]._dispatch()
                 elif kind == _REST:
@@ -218,11 +224,10 @@ class EventLane:
         return qs[1] - executed
 
     def _start_rest(self, pe) -> None:
-        """Finish a dispatch pass from the first record C did not book."""
+        """Finish a dispatch pass from the first task C did not book."""
         handoff = self.ops.handoff
-        records = self.ops.rest(pe.pe_id, handoff[0], handoff[1])
         start = pe._start_task
-        for task in pe.policy.tree.tasks_from_records(records):
+        for task in pe.policy.lane_rest(handoff[0], handoff[1]):
             start(task)
         self.accel.check_done()
 

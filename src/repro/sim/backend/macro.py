@@ -220,15 +220,21 @@ def build_lane(accel) -> Optional[EventLane]:
     """Bind the compiled event lane and its queue to ``accel``.
 
     Bound exactly when the PEs are :class:`~repro.sim.pe.LanePE`, i.e.
-    the macro core is bound and the policy has a task tree (Shogun under
-    a compiled backend); ``None`` otherwise.  Each Shogun policy then
-    publishes its epoch and mode words to the lane.
+    the macro core is bound and the policy is Shogun or pseudo-DFS;
+    ``None`` otherwise.  Each Shogun policy then publishes its epoch and
+    mode words to the lane; a pseudo-DFS PE has neither epochs nor
+    merging (its next epoch reads ``+inf``), and its policy pins each
+    leaf level's children through the lane.
     """
     if not isinstance(accel.pes[0], LanePE):
         return None
     lane = EventLane(accel.engine, accel.memory._kernels.lane_bind(accel), accel)
-    policy = accel.pe_state.policy
-    for pe in accel.pes:
+    words = memoryview(accel.pe_state.policy)
+    for pe, pin in zip(accel.pes, lane.ops.spans):
         row = 2 * pe.pe_id
-        pe.policy.publish_to(memoryview(policy)[row:row + 2])
+        if pin is None:
+            pe.policy.publish_to(words[row:row + 2])
+        else:
+            words[row] = float("inf")
+            pe.policy.pin_leaf_spans(pin)
     return lane

@@ -21,10 +21,11 @@ the compiled macro-step core books them in place through pinned
 pointers; each PE reads and writes its row through memoryviews bound
 once, so interpreted code sees plain Python floats.  A :class:`PE`
 keeps every other counter as a plain attribute.  A :class:`LanePE` —
-the PE of a Shogun accelerator under a compiled backend — keeps the
-counters the compiled event lane also writes (slot occupancy and its
-integrals, executed tasks and matches, the pending kick) in the same
-vector, behind properties.  Task completions arrive as typed engine
+the PE of a Shogun or pseudo-DFS accelerator under a compiled backend —
+keeps the counters the compiled event lane also writes (slot occupancy
+and its integrals, executed tasks and matches, the pending kick) in the
+same vector; its per-task Python paths bind those windows once per
+call.  Task completions arrive as typed engine
 events (:meth:`Engine.post`), one :meth:`PE.dispatch_event` call each,
 and :meth:`PE._complete_task` is the only Python completion body.  One
 PE's completions never share a timestamp: every booking path retires
@@ -155,6 +156,7 @@ class PE:
 
         # Hot-path constants (attribute chains hoisted out of the
         # per-task booking loop).
+        self._width = self.config.execution_width
         self._unit_interval = 1.0 / self.config.unit_tasks_per_cycle
         self._post_spawn_cycles = self.config.spawn_cycles + self.config.tree_access_cycles
         self._line_bytes = self.config.cache_line_bytes
@@ -206,7 +208,7 @@ class PE:
         used = self.slots_used
         self._busy_slot_cycles += used * dt
         if self.policy.has_work():
-            idle_slots = self.config.execution_width - used
+            idle_slots = self._width - used
             if idle_slots > 0:
                 self._idle_with_work_cycles += idle_slots * dt
         self.last_integrate = now
@@ -247,29 +249,37 @@ class PE:
         self.engine.after(0, self._dispatch)
 
     def _dispatch(self) -> None:
+        free = self._open_pass()
+        self.accel.feed_roots(self)
+        if free > 0:
+            # Each start takes exactly one slot and no completion runs
+            # inside a pass, so ``free`` counts the slots left.
+            select_many = self._select_many
+            if select_many is not None:
+                # Equivalent to the per-slot loop: bookings never mutate
+                # the policy's state, so one batch selection drains all
+                # free slots, stopping (like the loop) at the first
+                # failed selection.
+                for task in select_many(free):
+                    self._start_task(task)
+            else:
+                select_task = self.policy.select_task
+                while free > 0:
+                    task = select_task()
+                    if task is None:
+                        break
+                    self._start_task(task)
+                    free -= 1
+        self.accel.check_done()
+
+    def _open_pass(self) -> int:
+        """Open a dispatch pass: clear the pending kick, integrate up to
+        now and return the free slots."""
         self._kick_pending = False
         # Guarded call: a completion at this cycle already integrated.
         if self.engine.now > self.last_integrate:
             self._integrate()
-        self.accel.feed_roots(self)
-        width = self.config.execution_width
-        select_many = self._select_many
-        if select_many is not None:
-            # Equivalent to the per-slot loop: bookings never mutate
-            # tree state, so one batch selection drains all free slots,
-            # stopping (like the loop) at the first failed selection.
-            free = width - self.slots_used
-            if free > 0:
-                for task in select_many(free):
-                    self._start_task(task)
-        else:
-            select_task = self.policy.select_task
-            while self.slots_used < width:
-                task = select_task()
-                if task is None:
-                    break
-                self._start_task(task)
-        self.accel.check_done()
+        return self._width - self.slots_used
 
     def _enter_unit(self, name: str, at: float) -> float:
         unit = getattr(self, "_" + name + "_free")
@@ -646,15 +656,22 @@ def _clock_word(column: int) -> property:
     return property(get, put)
 
 
+# Columns of COUNT_WORDS and CLOCK_WORDS.
+_SLOTS, _TASKS, _MATCHES, _KICK = range(len(COUNT_WORDS))
+_LAST, _BUSY, _IDLE = range(len(CLOCK_WORDS))
+
+
 class LanePE(PE):
     """A PE whose lane-shared counters live in its :class:`PEStateVector`.
 
-    The compiled event lane books, completes and kicks Shogun leaf
-    tasks without Python, so every counter it writes — slot occupancy,
-    the slot integrals, executed tasks per depth, matches, the pending
-    kick — is a word of the accelerator's state vector here, read and
-    written through memoryviews bound once.  Everything else is a
-    :class:`PE`: the Python paths run unchanged over these properties.
+    The compiled event lane books, completes and kicks leaf tasks
+    without Python (Shogun's and pseudo-DFS's), so every counter it
+    writes — slot occupancy, the slot integrals, executed tasks per
+    depth, matches, the pending kick — is a word of the accelerator's
+    state vector here.  The Python paths that touch them on every task
+    (integrating, opening a dispatch pass, starting and completing a
+    task) bind the windows once per call; every other reader goes
+    through properties of the :class:`PE` names.
     """
 
     def __init__(self, pe_id: int, accel: "Accelerator", policy_factory: PolicyFactory) -> None:
@@ -674,6 +691,57 @@ class LanePE(PE):
     def depth_executed(self, counts: List[int]) -> None:
         for depth, count in enumerate(counts):
             self._depths[depth] = count
+
+    # The PE bodies of the same name, over the windows.
+    def _integrate(self) -> None:
+        clocks = self._clocks
+        now = self.engine.now
+        dt = now - clocks[_LAST]
+        if dt <= 0:
+            return
+        used = self._counts[_SLOTS]
+        clocks[_BUSY] += used * dt
+        if self.policy.has_work():
+            idle_slots = self._width - used
+            if idle_slots > 0:
+                clocks[_IDLE] += idle_slots * dt
+        clocks[_LAST] = now
+
+    def _open_pass(self) -> int:
+        counts = self._counts
+        counts[_KICK] = 0
+        if self.engine.now > self._clocks[_LAST]:
+            self._integrate()
+        return self._width - counts[_SLOTS]
+
+    def _start_task(self, task: SimTask) -> None:
+        now = self.engine.now
+        if now > self._clocks[_LAST]:
+            self._integrate()
+        self._counts[_SLOTS] += 1
+        task.state = _EXECUTING
+        macro = self._macro
+        if macro is not None:
+            macro.start(self, task, now)
+        else:
+            self._book_task(task, now)
+
+    def _complete_task(self, task: SimTask) -> None:
+        self._integrate()
+        task.state = _COMPLETE
+        counts = self._counts
+        counts[_TASKS] += 1
+        depth = task.depth
+        self._depths[depth] += 1
+        if depth >= self._max_depth:
+            counts[_MATCHES] += 1
+            task.children_vertices = []
+        else:
+            task.children_vertices = task.kept
+            self.footprint_add(len(task.candidates) * 4)
+        counts[_SLOTS] -= 1
+        self.policy.on_task_complete(task)
+        self.kick()
 
 
 for _column, _name in enumerate(COUNT_WORDS):

@@ -18,8 +18,11 @@ completion handlers, adds no simulation events, changes no timing and
 reroutes nothing.  Under the compiled event lane, leaf tasks start and
 complete in C without calling those handlers; the lane then fills a
 span ring, which the recorder drains in event order (the ring exists
-only once a recorder attaches).  Spans are numbered by the recorder: a
-span's ``task_id`` is its task's position in its PE's start order.
+only once a recorder attaches).  A span is keyed by its task's slot —
+a Shogun task-tree entry or a pseudo-DFS group member — so a leaf the
+lane started and Python completed closes the span the ring opened.
+Spans are numbered by the recorder: a span's ``task_id`` is its task's
+position in its PE's start order.
 """
 
 from __future__ import annotations
@@ -257,6 +260,7 @@ class TraceRecorder:
 
 
 def _key(task: "SimTask") -> int:
-    """A task's key among its PE's executing tasks: its task-tree entry
-    slot (the lane's span events carry it), else its identity."""
+    """A task's key among its PE's executing tasks: its slot (a
+    task-tree entry or a pseudo-DFS group member, as the lane's span
+    events carry it), else its identity."""
     return task.slot if task.slot >= 0 else -1 - id(task)

@@ -10,10 +10,11 @@ macro-step core and the compiled event lane included, so a checked run
 produces bit-identical metrics.  What the checker adds is an
 independent set of task-flow books that
 :meth:`InvariantChecker.finalize` reconciles against the simulator's
-own counters after the run.  Leaves the event lane runs in C never
-reach the shims; the lane keeps flat counters of its own (leaves
-started and completed, vertex fetches, slot-occupancy breaks, slots
-completed twice, buckets drained out of time order), which
+own counters after the run.  Leaves the event lane runs in C (Shogun's
+and pseudo-DFS's) never reach the shims; the lane keeps flat counters
+of its own per PE (leaves started and completed, vertex fetches,
+slot-occupancy breaks, slots or group members completed twice, buckets
+drained out of time order), which
 :meth:`~InvariantChecker.finalize` folds into the books before the
 laws are checked.  Memory and NoC traffic are not
 intercepted at all: the laws over them reconcile flat counters that the

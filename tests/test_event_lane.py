@@ -12,11 +12,12 @@ layers hold it to the Python reference:
   :class:`Engine` drained one event at a time by ``legacy_drain``:
   identical event order, clock and ``pending()`` at every step.
 * **Whole runs** — pure and cext simulations agree on ``RunMetrics``
-  for every benchmark schedule under Shogun, FINGERS and BFS, and on
-  every ``TraceRecorder`` span and ``InvariantChecker`` count with both
-  attached, across configurations that hand events back to Python
-  (epoch boundaries, merging, splitting, static dispatch, a pinned
-  conservative mode).
+  for every benchmark schedule under Shogun, FINGERS, DFS and BFS, and
+  on every ``TraceRecorder`` span and ``InvariantChecker`` count with
+  both attached, across configurations that hand events back to Python
+  (Shogun: epoch boundaries, merging, splitting, static dispatch, a
+  pinned conservative mode; pseudo-DFS: vertex misses, partial groups,
+  static dispatch, one PE).
 
 Skipped when the cext backend did not build.
 """
@@ -179,6 +180,9 @@ class TestQueueContract:
 
 SCHEDULES = benchmark_schedules()
 
+#: The policies whose accelerators bind the lane under cext.
+LANE_POLICIES = ("shogun", "fingers", "pseudo-dfs", "dfs")
+
 #: Configurations whose runs hand the lane's events back to Python.
 CONFIGS = {
     "default": {},
@@ -188,6 +192,20 @@ CONFIGS = {
     "splitting": {"enable_splitting": True, "lb_check_interval": 50, "num_pes": 6},
     "static": {"root_dispatch": "static", "execution_width": 3},
     "conservative": {"conservative_override": True, "tokens_per_depth": 2},
+}
+
+#: Configurations whose pseudo-DFS runs hand the lane's events back:
+#: vertex-line misses (the rest of a pass), groups narrower than the
+#: parent's children (several chunks per leaf level), static root
+#: dispatch and a single PE; merging, which only Shogun acts on, must
+#: leave the lane running.
+PSEUDO_DFS_CONFIGS = {
+    "default": {},
+    "small-l1": {"l1_kb": 1, "l2_kb": 64},
+    "width-3": {"execution_width": 3},
+    "static": {"root_dispatch": "static", "execution_width": 3},
+    "one-pe": {"num_pes": 1, "l1_kb": 1},
+    "merging": {"enable_merging": True},
 }
 
 
@@ -213,6 +231,32 @@ def _counts(checker):
     )
 
 
+def _l1_state(accel):
+    """Every L1's tags and LRU stamps: which lines each vertex fetch
+    touched, and in what order."""
+    return [(c._tags.tolist(), c._stamps.tolist()) for c in accel.memory.l1s]
+
+
+def _observed_parity(graph, pattern, policy, overrides):
+    """Pure and cext runs with a recorder and a checker attached agree
+    on metrics, spans, checker counts and L1 state; returns the cext
+    run's lane counters."""
+    schedule = benchmark_schedule(pattern)
+    runs = {}
+    for backend_name in ("pure", "cext"):
+        accel, metrics, recorder, checker = _run(
+            graph, schedule, policy, backend_name, overrides, observe=True,
+        )
+        assert checker.ok, checker.report()
+        runs[backend_name] = (
+            metrics.to_dict(), recorder.spans, _counts(checker),
+            _l1_state(accel),
+        )
+    assert runs["cext"] == runs["pure"], pattern
+    assert len(runs["cext"][1]) == runs["cext"][0]["tasks_executed"]
+    return accel.lane.counters()
+
+
 class TestWholeRuns:
     @settings(max_examples=2, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -224,10 +268,10 @@ class TestWholeRuns:
     def test_metrics_match_pure(self, seed, n, degree):
         graph = erdos_renyi_gnm(n, degree * n, seed=seed, name="er")
         for schedule in SCHEDULES:
-            for policy in ("shogun", "fingers", "bfs"):
+            for policy in ("shogun", "fingers", "dfs", "bfs"):
                 ref = _run(graph, schedule, policy, "pure", {})[1]
                 accel, metrics, _, _ = _run(graph, schedule, policy, "cext", {})
-                assert (accel.lane is not None) == (policy == "shogun")
+                assert (accel.lane is not None) == (policy != "bfs")
                 assert metrics.to_dict() == ref.to_dict(), (
                     schedule.name, policy,
                 )
@@ -236,39 +280,42 @@ class TestWholeRuns:
     def test_spans_and_invariants_match_pure(self, name):
         graph = erdos_renyi_gnm(36, 150, seed=3, name="er36")
         for pattern in ("tc", "tt_e", "4cl"):
-            schedule = benchmark_schedule(pattern)
-            runs = {}
-            for backend_name in ("pure", "cext"):
-                accel, metrics, recorder, checker = _run(
-                    graph, schedule, "shogun", backend_name, CONFIGS[name],
-                    observe=True,
-                )
-                assert checker.ok, checker.report()
-                runs[backend_name] = (
-                    metrics.to_dict(), recorder.spans, _counts(checker)
-                )
-            assert runs["cext"] == runs["pure"], pattern
-            assert len(runs["cext"][1]) == runs["cext"][0]["tasks_executed"]
+            _observed_parity(graph, pattern, "shogun", CONFIGS[name])
+
+    @pytest.mark.parametrize("name", sorted(PSEUDO_DFS_CONFIGS))
+    def test_pseudo_dfs_spans_and_invariants_match_pure(self, skewed_graph, name):
+        for pattern in ("tc", "tt_e", "4cyc_v"):
+            lane = _observed_parity(
+                skewed_graph, pattern, "fingers", PSEUDO_DFS_CONFIGS[name]
+            )
+            assert lane["completed"] > 0 or pattern == "tc", pattern
 
     def test_a_full_span_ring_hands_back_and_loses_nothing(self):
-        # A ring with room for one dispatch pass: the drain returns
-        # "ring full" between lane events and the recorder drains it.
-        graph = erdos_renyi_gnm(36, 150, seed=3, name="er36")
-        schedule = benchmark_schedule("tt_e")
-        ref = _run(graph, schedule, "shogun", "pure", {}, observe=True)[2]
-        accel = Accelerator(graph, schedule, SimConfig(num_pes=4, backend="cext"), "shogun")
-        width = accel.config.execution_width
-        lane = accel.lane
-        lane._ring = lane.ops.attach_ring(width + 1)
-        batches = []
-        lane._sinks.append(lambda ints, times, n: batches.append(n))
-        recorder = TraceRecorder.attach(accel)
-        accel.run()
-        counters = lane.counters()
-        # Unbounded, one batch reaches dozens of records on this run.
-        assert max(batches) <= width + 1
-        assert sum(batches) == counters["fast"] + counters["completed"]
-        assert recorder.spans == ref.spans
+        _full_ring_run("shogun")
+
+    def test_a_full_pseudo_dfs_span_ring_loses_nothing(self):
+        _full_ring_run("fingers")
+
+
+def _full_ring_run(policy):
+    """A ring with room for one dispatch pass: the drain returns "ring
+    full" between lane events and the recorder drains it."""
+    graph = erdos_renyi_gnm(36, 150, seed=3, name="er36")
+    schedule = benchmark_schedule("tt_e")
+    ref = _run(graph, schedule, policy, "pure", {}, observe=True)[2]
+    accel = Accelerator(graph, schedule, SimConfig(num_pes=4, backend="cext"), policy)
+    width = accel.config.execution_width
+    lane = accel.lane
+    lane._ring = lane.ops.attach_ring(width + 1)
+    batches = []
+    lane._sinks.append(lambda ints, times, n: batches.append(n))
+    recorder = TraceRecorder.attach(accel)
+    accel.run()
+    counters = lane.counters()
+    # Unbounded, one batch reaches dozens of records on this run.
+    assert max(batches) <= width + 1
+    assert sum(batches) == counters["fast"] + counters["completed"]
+    assert recorder.spans == ref.spans
 
 
 #: A lane counter corrupted after the run -> the one law it feeds.
@@ -300,13 +347,15 @@ class TestCheckerReadsTheLane:
 
 
 class TestBinding:
-    def test_lane_binds_exactly_for_compiled_shogun(self, small_er, sched_tc):
-        for policy in ("shogun", "fingers", "bfs"):
+    def test_lane_binds_exactly_for_compiled_shogun_and_pseudo_dfs(
+        self, small_er, sched_tc
+    ):
+        for policy in ("shogun", "fingers", "pseudo-dfs", "dfs", "bfs", "parallel-dfs"):
             for name in ("pure", "cext"):
                 accel = Accelerator(
                     small_er, sched_tc, SimConfig(num_pes=2, backend=name), policy
                 )
-                lane = name == "cext" and policy == "shogun"
+                lane = name == "cext" and policy in LANE_POLICIES
                 assert (accel.lane is not None) == lane
                 assert (accel.engine._lane is not None) == lane
                 assert all(type(pe) is (LanePE if lane else PE) for pe in accel.pes)
@@ -325,22 +374,32 @@ class TestBinding:
 
     @pytest.mark.parametrize("l1_kb", (1, 32))
     def test_lane_books_what_the_macro_core_would(self, medium_er, l1_kb):
-        # Same run with and without the lane: the lane must fast-book
-        # exactly the leaves MacroCore.start would (vertex misses and
-        # all), so coverage matches counter for counter.
-        runs = []
-        for lane in (True, False):
-            accel = Accelerator(
-                medium_er, benchmark_schedule("tt_e"),
-                SimConfig(num_pes=4, backend="cext", l1_kb=l1_kb), "shogun",
-            )
-            if not lane:
-                accel.lane.unbind()
-                accel.lane = None
-            metrics = accel.run()
-            runs.append((metrics.to_dict(), accel.macro.coverage()))
-        assert runs[0] == runs[1]
-        assert runs[0][1]["counters"]["vertex_miss"] > 0 or l1_kb == 32
+        coverage = _lane_vs_macro(medium_er, "shogun", l1_kb)
+        assert coverage["counters"]["vertex_miss"] > 0 or l1_kb == 32
+
+    @pytest.mark.parametrize("l1_kb", (1, 32))
+    @pytest.mark.parametrize("policy", ("fingers", "dfs"))
+    def test_pseudo_dfs_lane_books_what_the_macro_core_would(
+        self, skewed_graph, policy, l1_kb
+    ):
+        coverage = _lane_vs_macro(skewed_graph, policy, l1_kb)
+        # DFS reads its parent's set line by line and never misses.
+        misses = coverage["counters"]["vertex_miss"]
+        assert misses > 0 or l1_kb == 32 or policy == "dfs"
+
+    def test_pseudo_dfs_leaves_drain_in_c(self, medium_er):
+        accel = Accelerator(
+            medium_er, benchmark_schedule("tt_e"),
+            SimConfig(num_pes=2, backend="cext"), "fingers",
+        )
+        metrics = accel.run()
+        lane = accel.lane.counters()
+        leaves = metrics.tasks_per_depth[-1]
+        # Only a level's last completion returns to Python.
+        assert lane["completed"] > leaves // 2
+        assert lane["fast"] >= lane["completed"]
+        assert lane["regressions"] == lane["slot_violations"] == 0
+        assert lane["completed_twice"] == 0
 
     def test_unbinding_restores_the_python_queue(self, small_er, sched_4cl):
         ref = _run(small_er, sched_4cl, "shogun", "pure", {})[1]
@@ -353,3 +412,24 @@ class TestBinding:
             assert name not in accel.engine.__dict__
         assert all("kick" not in pe.__dict__ for pe in accel.pes)
         assert accel.run().to_dict() == ref.to_dict()
+
+
+def _lane_vs_macro(graph, policy, l1_kb):
+    """The same tt_e run with and without the lane: the lane must
+    fast-book exactly the leaves MacroCore.start would (vertex misses
+    and all), so metrics and coverage match counter for counter.
+    Returns the coverage."""
+    runs = []
+    for lane in (True, False):
+        accel = Accelerator(
+            graph, benchmark_schedule("tt_e"),
+            SimConfig(num_pes=4, backend="cext", l1_kb=l1_kb), policy,
+        )
+        if not lane:
+            accel.lane.unbind()
+            accel.lane = None
+        metrics = accel.run()
+        runs.append((metrics.to_dict(), accel.macro.coverage()))
+    assert runs[0] == runs[1]
+    assert runs[0][1]["tasks"] == runs[0][0]["tasks_executed"]
+    return runs[0][1]
