@@ -137,45 +137,11 @@ class SimTask:
         self._cursor = None
 
     @property
-    def is_root(self) -> bool:
-        """Whether this is a depth-0 (search-tree root) task."""
-        return self.depth == 0
-
-    @property
     def unexplored(self) -> int:
         """Number of candidate children not yet turned into tasks."""
         if self.children_vertices is None:
             return 0
         return len(self.children_vertices) - self.next_child
-
-    def take_next_child(self) -> int:
-        """Pop the next unexplored candidate vertex (ascending order).
-
-        This is the ``fetch the corresponding vertex from the parent
-        task's candidate set`` step of spawning/extending (§3.2.2); the
-        symmetry-breaking prune has already truncated the list.
-        """
-        if self.unexplored <= 0:
-            raise IndexError("no unexplored candidates left")
-        v = self.children_vertices[self.next_child]
-        self.next_child += 1
-        return v
-
-    def split_children(self, parts: int) -> List[List[int]]:
-        """Carve the unexplored candidate range into ``parts`` shares.
-
-        Used by task-tree splitting (§4.1): only the *unexplored* depth-1
-        range of a depth-0 task is divided; this task keeps the first
-        share and the rest are shipped to idle PEs.  Returns ``parts``
-        lists (possibly fewer if there are not enough candidates); this
-        task's own range is truncated to the first share by the caller.
-        """
-        remaining = self.children_vertices[self.next_child :]
-        if parts < 1:
-            raise ValueError("parts must be >= 1")
-        chunk = -(-len(remaining) // parts) if len(remaining) else 0
-        shares = [remaining[i : i + chunk] for i in range(0, len(remaining), chunk)] if chunk else []
-        return shares
 
     def ancestor_at_depth(self, depth: int) -> "SimTask":
         """Walk parent links to the ancestor task at ``depth``."""

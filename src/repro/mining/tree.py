@@ -370,7 +370,3 @@ class SearchContext:
         self.children_kept += len(kept)
         self.children_pruned += total - len(kept)
         return kept
-
-    def is_leaf_depth(self, depth: int) -> bool:
-        """Whether ``depth`` is the final search depth (no spawning)."""
-        return depth == self.schedule.max_depth

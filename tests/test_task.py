@@ -17,37 +17,6 @@ class TestChildren:
     def test_unexplored_before_execution(self):
         assert make_task().unexplored == 0
 
-    def test_take_next_child_in_order(self):
-        t = make_task(children=[3, 5, 9])
-        assert t.take_next_child() == 3
-        assert t.take_next_child() == 5
-        assert t.unexplored == 1
-
-    def test_take_exhausted_raises(self):
-        t = make_task(children=[1])
-        t.take_next_child()
-        with pytest.raises(IndexError):
-            t.take_next_child()
-
-
-class TestSplitChildren:
-    def test_even_split(self):
-        t = make_task(children=[1, 2, 3, 4])
-        assert t.split_children(2) == [[1, 2], [3, 4]]
-
-    def test_respects_explored_prefix(self):
-        t = make_task(children=[1, 2, 3, 4])
-        t.take_next_child()
-        assert t.split_children(3) == [[2], [3], [4]]
-
-    def test_empty(self):
-        t = make_task(children=[])
-        assert t.split_children(2) == []
-
-    def test_bad_parts(self):
-        with pytest.raises(ValueError):
-            make_task(children=[1]).split_children(0)
-
 
 class TestAncestors:
     def test_walks_to_depth(self):
@@ -72,8 +41,3 @@ class TestIdentity:
 
     def test_default_state_ready(self):
         assert make_task().state == TaskState.READY
-
-    def test_is_root(self):
-        root = make_task(depth=0)
-        assert root.is_root
-        assert not make_task(depth=1, parent=root).is_root

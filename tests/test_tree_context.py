@@ -100,11 +100,6 @@ class TestChildren:
         kids = ctx.children((10,), exp.candidates)
         assert kids.tolist() == sorted(kids.tolist())
 
-    def test_is_leaf_depth(self, tiny_graph, sched_4cl):
-        ctx = SearchContext(tiny_graph, sched_4cl)
-        assert ctx.is_leaf_depth(3)
-        assert not ctx.is_leaf_depth(2)
-
 
 class TestReusePlans:
     def test_five_clique_chain(self, tiny_graph):
