@@ -48,9 +48,8 @@ from repro.mining import (
     intersect_reference,
 )
 from repro.patterns import benchmark_schedule
-from repro.sim import Accelerator, Cache, Engine, simulate
+from repro.sim import Accelerator, Engine, simulate
 from repro.sim import backend as kernel_backend
-from repro.sim.memory import PELatencyWindow
 from tests.oracles import legacy_drain, unbind_macro
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -208,77 +207,21 @@ class TestKernelSetOps:
         )
 
 
-class TestKernelMemoryFetch:
-    def test_fetch_graph_span_vs_per_line_walk(self):
-        """`MemorySystem.fetch_graph_spans` against the per-line sequence
-        walk it replaced (which also had to materialize the line lists),
-        on warm wide neighbor spans — the design-point operand."""
-        from repro.sim import SimConfig
-        from repro.sim.memory import MemorySystem
-
-        config = SimConfig(num_pes=1)
-        rng = np.random.RandomState(11)
-        spans = []
-        for _ in range(64):
-            first = int(rng.randint(0, 2000))
-            spans.append((first, first + int(rng.randint(24, 160))))
-
-        def make_warm():
-            mem = MemorySystem(config, num_pes=1)
-            for first, last in spans:
-                mem.l2.insert_span(first, last)
-            return mem
-
-        span_mem, walk_mem = make_warm(), make_warm()
-        t_span = span_mem.fetch_graph_spans(0, spans, 0.0)
-        lines = [a for f, l in spans for a in range(f, l + 1)]
-        t_walk = walk_mem.fetch_graph(0, lines, 0.0)
-        assert t_span == t_walk
-        assert (span_mem.l2.hits, span_mem.l2.misses) == (
-            walk_mem.l2.hits, walk_mem.l2.misses,
-        )
-
-        # The "before" includes materializing the line lists from the
-        # spans, exactly as the old call sites did.  `now` advances past
-        # every bank booking between repeats, as it does in the simulator
-        # (tasks issue at the engine clock, which outruns the bank
-        # queues' per-line service tail).
-        vec_now, ref_now = [0.0], [0.0]
-
-        def vec_once():
-            vec_now[0] += 1e6
-            return span_mem.fetch_graph_spans(0, spans, vec_now[0])
-
-        def ref_once():
-            ref_now[0] += 1e6
-            return walk_mem.fetch_graph(
-                0, [a for f, l in spans for a in range(f, l + 1)], ref_now[0]
-            )
-
-        vec = _best_of(vec_once)
-        ref = _best_of(ref_once)
-        _record_kernel(
-            "fetch_graph_span", vec, ref,
-            f"{len(spans)} warm neighbor spans of 8-64 lines, span entry "
-            "vs materialized per-line walk",
-        )
-
-
 class TestKernelBackendCompiled:
     """Compiled kernel backend vs the pure reference kernel set.
 
     Operands mirror the simulator's real call shapes: neighbor sets for
-    the set ops, warm 16-line spans for the residency probe, and
-    mid-size latency folds for the EMA.  The set-op corpus mixes the
-    wi stand-in's sets (small: the stand-in truncates hub degrees) with
-    hub-scale sorted sets at the degree range of the paper's real
-    datasets (wiki-Vote hubs reach ~1000 neighbors) — set-op cost grows
-    with operand size, so hub expansions dominate real mining wall time
-    and a time-weighted mix is what the speedup should measure.
-    Correctness is asserted inline (outputs and accounted state must
-    match pure exactly); the gate in ``test_zz_emit_and_gate`` requires
-    at least three ``backend_*`` kernels at >= 2x when a compiled
-    backend is present.
+    the three set-op kernels, plus the macro-step core's whole-cell
+    drain.  The set-op corpus mixes the wi stand-in's sets (small: the
+    stand-in truncates hub degrees) with hub-scale sorted sets at the
+    degree range of the paper's real datasets (wiki-Vote hubs reach
+    ~1000 neighbors) — set-op cost grows with operand size, so hub
+    expansions dominate real mining wall time and a time-weighted mix is
+    what the speedup should measure.  Correctness is asserted inline
+    (outputs must match pure exactly); the gate in
+    ``test_zz_emit_and_gate`` requires at least three ``backend_*``
+    kernels at >= 2x when a compiled backend is present, which with the
+    three set-op records means all of them.
     """
 
     @pytest.fixture(scope="class")
@@ -372,58 +315,6 @@ class TestKernelBackendCompiled:
             f"{len(triples)} like-sized three-way intersections "
             f"(wi + hub-scale) through the setops dispatcher, "
             f"{compiled.name} vs pure",
-        )
-
-    def test_backend_span_probe(self, kernel_sets):
-        compiled, pure = kernel_sets
-        size_bytes, assoc, line = 32 * 1024, 4, 64
-        # Warm 16-line spans: the simulator's typical residency probe
-        # (below the pure backend's numpy tier, in its listcomp tier).
-        spans = [(s, s + 15) for s in range(0, 496, 16)] * 8
-
-        def make_warm():
-            cache = Cache(size_bytes, assoc, line)
-            for first, last in spans:
-                cache.insert_span(first, last)
-            return cache
-
-        warm_c, warm_p = make_warm(), make_warm()
-        assert compiled.span_resident_stamp(warm_c, 0, 15)
-        assert pure.span_resident_stamp(warm_p, 0, 15)
-        np.testing.assert_array_equal(warm_c._stamps, warm_p._stamps)
-        assert warm_c._tick == warm_p._tick
-        vec = _best_of(
-            lambda: [compiled.span_resident_stamp(warm_c, f, l) for f, l in spans]
-        )
-        ref = _best_of(
-            lambda: [pure.span_resident_stamp(warm_p, f, l) for f, l in spans]
-        )
-        _record_kernel(
-            "backend_span_probe", vec, ref,
-            f"{len(spans)} warm 16-line residency probes, 32KB/4-way, "
-            f"{compiled.name} vs pure",
-        )
-
-    def test_backend_ema_fold(self, kernel_sets):
-        compiled, pure = kernel_sets
-        check_c, check_p = PELatencyWindow(), PELatencyWindow()
-        compiled.ema_fold(check_c, 21.5, 48)
-        pure.ema_fold(check_p, 21.5, 48)
-        assert (check_c.value, check_c.total_latency, check_c.samples) == (
-            check_p.value, check_p.total_latency, check_p.samples,
-        )
-
-        def run(kernels):
-            window = PELatencyWindow()
-            for _ in range(200):
-                kernels.ema_fold(window, 21.5, 48)
-            return window
-
-        vec = _best_of(lambda: run(compiled))
-        ref = _best_of(lambda: run(pure))
-        _record_kernel(
-            "backend_ema_fold", vec, ref,
-            f"200 48-sample EMA latency folds, {compiled.name} vs pure",
         )
 
     def test_engine_macro_drain(self, kernel_sets):

@@ -2,15 +2,15 @@
 
 from .locality import LocalityMonitor
 from .merging import MergeController
-from .policies.base import SchedulingPolicy, chunked
+from .policies.base import SchedulingPolicy
 from .policies.bfs import BFSPolicy
 from .policies.group_dfs import DFSPolicy, GroupDFSPolicy
 from .policies.parallel_dfs import ParallelDFSPolicy
 from .policies.shogun import ShogunPolicy
 from .splitting import Partition, apportion_helpers, plan_partitions
-from .task import SimTask, TaskState
+from .task import SimTask
 from .task_tree import TaskTree
-from .tokens import INTERMEDIATE_REGION_BASE, SetBufferMap, TokenPool
+from .tokens import INTERMEDIATE_REGION_BASE, SetBufferMap
 
 __all__ = [
     "BFSPolicy",
@@ -25,10 +25,7 @@ __all__ = [
     "SetBufferMap",
     "ShogunPolicy",
     "SimTask",
-    "TaskState",
     "TaskTree",
-    "TokenPool",
     "apportion_helpers",
-    "chunked",
     "plan_partitions",
 ]

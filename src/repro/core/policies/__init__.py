@@ -1,6 +1,6 @@
 """Scheduling policies: BFS, DFS, pseudo-DFS (FINGERS), parallel-DFS, Shogun."""
 
-from .base import SchedulingPolicy, chunked
+from .base import SchedulingPolicy
 from .bfs import BFSPolicy
 from .group_dfs import DFSPolicy, GroupDFSPolicy
 from .parallel_dfs import ParallelDFSPolicy
@@ -13,5 +13,4 @@ __all__ = [
     "ParallelDFSPolicy",
     "SchedulingPolicy",
     "ShogunPolicy",
-    "chunked",
 ]

@@ -18,10 +18,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ...errors import SimulationError
-from ..task import SimTask, TaskState
+from ..task import SimTask
 from .base import SchedulingPolicy, as_ints
-
-_READY = TaskState.READY
 
 
 class BFSPolicy(SchedulingPolicy):
@@ -125,12 +123,12 @@ class BFSPolicy(SchedulingPolicy):
                 prefix = parent.embedding
                 for position, v in enumerate(as_ints(kids)):
                     if address is None:
-                        append(SimTask(depth, v, prefix + (v,), parent, tree, position, _READY))
+                        append(SimTask(depth, v, prefix + (v,), parent, tree, position))
                     else:
                         index = len(next_level)
                         append(SimTask(
                             depth, v, prefix + (v,), parent, tree, position,
-                            _READY, index, address(depth, index),
+                            index, address(depth, index),
                         ))
             if next_level:
                 frontiers[depth] = next_level
@@ -143,4 +141,3 @@ class BFSPolicy(SchedulingPolicy):
     def _release_set(self, task: SimTask) -> None:
         if task.candidates is not None and task.set_address is not None:
             self.pe.footprint_remove(len(task.candidates) * 4)
-        task.state = TaskState.IDLE

@@ -43,12 +43,9 @@ from typing import List, Optional
 import numpy as np
 
 from ...errors import SimulationError
-from ..task import SimTask, TaskState
+from ..task import SimTask
 from ..task_tree import _span
 from .base import SchedulingPolicy, as_ints
-
-_READY = TaskState.READY
-_EXECUTING = TaskState.EXECUTING
 
 #: The walk's flat words (``REPRO_W_*`` in the C lane): a tree is live,
 #: then the leaf level's current group — first child index, member
@@ -128,7 +125,7 @@ class GroupDFSPolicy(SchedulingPolicy):
         w[W_TREE] = self._tree_seq
         level = _Level(None, [vertex], 0)
         root = SimTask(
-            0, vertex, (vertex,), None, self._tree_seq, 0, _READY, 0,
+            0, vertex, (vertex,), None, self._tree_seq, 0, 0,
             self._bases[0], None, 0,
         )
         level.group = [root]
@@ -156,7 +153,7 @@ class GroupDFSPolicy(SchedulingPolicy):
             w[W_OUT] += end - first
             start = w[W_START]
             leaf = self._leaf
-            return [leaf(start + j, j, _READY) for j in range(first, end)]
+            return [leaf(start + j, j) for j in range(first, end)]
         first = self._next
         group = self._group
         end = len(group)
@@ -214,7 +211,7 @@ class GroupDFSPolicy(SchedulingPolicy):
         member index.
         """
         start = self._w[W_START]
-        return self._leaf(start + member, member, _EXECUTING)
+        return self._leaf(start + member, member)
 
     def lane_rest(self, first: int, count: int) -> List[SimTask]:
         """The rest of a dispatch pass the lane stopped at member
@@ -224,14 +221,14 @@ class GroupDFSPolicy(SchedulingPolicy):
         return self.select_tasks(pe.config.execution_width - pe.slots_used)
 
     # ------------------------------------------------------------------
-    def _leaf(self, index: int, member: int, state) -> SimTask:
+    def _leaf(self, index: int, member: int) -> SimTask:
         v = self._kids[index]
         parent = self._leaf_parent
         # SimTask positionally: (depth, vertex, embedding, parent, tree,
-        # child_index, state, token, set_address, bunch, slot).
+        # child_index, token, set_address, bunch, slot).
         return SimTask(
             self._max_depth, v, parent.embedding + (v,), parent,
-            self._tree_seq, index, state, None, None, None, member,
+            self._tree_seq, index, None, None, None, member,
         )
 
     def _walk_on(self) -> None:
@@ -316,8 +313,8 @@ class GroupDFSPolicy(SchedulingPolicy):
         stride = self._stride
         group = [
             SimTask(
-                depth, v, prefix + (v,), parent, tree, start + j, _READY,
-                j, base + j * stride, None, j,
+                depth, v, prefix + (v,), parent, tree, start + j, j,
+                base + j * stride, None, j,
             )
             for j, v in enumerate(level.kids[start:start + self.group_size])
         ]

@@ -17,10 +17,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ...errors import SimulationError
-from ..task import SimTask, TaskState
+from ..task import SimTask
 from .base import SchedulingPolicy, as_ints
-
-_READY = TaskState.READY
 
 
 class _TreeWalker:
@@ -55,8 +53,8 @@ class _TreeWalker:
             token = address = None
         for position, v in enumerate(as_ints(vertices)):
             task = SimTask(
-                depth, v, prefix + (v,), parent, tree, position, _READY,
-                token, address,
+                depth, v, prefix + (v,), parent, tree, position, token,
+                address,
             )
             yield task
             kids = task.children_vertices
@@ -133,4 +131,3 @@ class ParallelDFSPolicy(SchedulingPolicy):
     def _release_set(self, task: SimTask) -> None:
         if task.candidates is not None and task.set_address is not None:
             self.pe.footprint_remove(len(task.candidates) * 4)
-        task.state = TaskState.IDLE

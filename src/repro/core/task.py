@@ -11,29 +11,11 @@ task tree reconstructs by walking parent pointers.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
-
-
-class TaskState(enum.Enum):
-    """Task SPM entry states (the four basic states of Figure 4(b)).
-
-    Transient ``WAIT_*`` states of Figure 6 are modelled as fixed
-    latencies on the transitions rather than explicit states — the event
-    simulator charges their cycles without materializing each arc.
-    """
-
-    IDLE = "idle"
-    READY = "ready"
-    EXECUTING = "executing"
-    RESTING = "resting"
-    COMPLETE = "complete"
-    QUIESCED = "quiesced"
-
 
 
 @dataclass(slots=True)
@@ -68,10 +50,11 @@ class SimTask:
     child_index: int = 0
 
     # Scheduling state ---------------------------------------------------
+    # (The entry's Figure 4(b) state — Idle, Ready, Executing, Resting —
+    # lives in the task tree's struct-of-arrays words, not here.)
     # The hot construction sites (the task tree's ``select_batch`` and
     # ``SchedulingPolicy._make_task``) pass these positionally, in this
     # order: keyword arguments cost about twice as much per task.
-    state: TaskState = TaskState.READY
     token: Optional[int] = None
     set_address: Optional[int] = None
     #: Global index of the task-tree bunch holding this entry (an index
@@ -155,5 +138,5 @@ class SimTask:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimTask(d={self.depth}, v={self.vertex}, tree={self.tree}, "
-            f"state={self.state.value})"
+            f"slot={self.slot})"
         )

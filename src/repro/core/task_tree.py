@@ -81,12 +81,8 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from .task import SimTask, TaskState
+from .task import SimTask
 from .tokens import ArrayTokenPool
-
-_EXECUTING = TaskState.EXECUTING
-_RESTING = TaskState.RESTING
-_IDLE = TaskState.IDLE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.pe import PE
@@ -142,8 +138,7 @@ class TaskTreeState:
     per-bunch ready FIFO is a ring (``ring``/``ring_head``/``ring_len``)
     over slot ids, supporting O(1) pop/push and ordered middle deletion
     for the token-validity scan.  Token pools are a LIFO free stack per
-    depth (``tok_free``/``tok_n``), bit-compatible with
-    :class:`~repro.core.tokens.TokenPool` order.  ``b_nkids``,
+    depth (``tok_free``/``tok_n``), token 0 on top.  ``b_nkids``,
     ``b_next`` and ``b_paddr`` hold each bunch's parent span length,
     cursor and set address (-1 for none).
     """
@@ -203,7 +198,7 @@ class TaskTreeState:
         self.e_token = np.full(nb * cap, -1, dtype=i64)
 
         # Per-depth free stacks, top at the end: [T-1 .. 0] so token 0 is
-        # acquired first — identical order to TokenPool's list.
+        # acquired first.
         tpd = config.tokens_per_depth
         self.tok_free = np.zeros(max(1, max_depth) * tpd, dtype=i64)
         self.tok_n = np.zeros(max(1, max_depth), dtype=i64)
@@ -372,7 +367,6 @@ class TaskTree:
                 task.children_vertices = [int(prefix[d + 1])]
             else:
                 task.children_vertices = list(children)
-            task.state = TaskState.RESTING
             task.bunch = b
             task.slot = slot
             s.e_vertex[slot] = task.vertex
@@ -453,7 +447,7 @@ class TaskTree:
             tasks.append(SimTask(
                 depth, v,
                 (parent.embedding + (v,)) if parent is not None else (v,),
-                parent, tree, child_index, _EXECUTING, token, set_address,
+                parent, tree, child_index, token, set_address,
                 b, slot,
             ))
         return tasks
@@ -497,7 +491,6 @@ class TaskTree:
                 task.slot, b, 1, _span(cv), first, len(cv), _address(task),
                 1 if task.tree in self._quiesced_trees else 0,
             )
-            task.state = _RESTING
             if action == DONE_SPAWNED:
                 target = self._done[0]
                 self._bunch_parent[target] = task
@@ -519,7 +512,6 @@ class TaskTree:
         if action != DONE_EXTENDED:
             # DONE_IDLED / DONE_RECYCLE: the op released the entry token.
             task.token = None
-        task.state = _IDLE
         if action == DONE_RECYCLE:
             self._recycle(b)
 
@@ -547,7 +539,6 @@ class TaskTree:
         """Spawn a child bunch now, or queue until one is idle."""
         child_depth = task.depth + 1
         b = self._idle_bunch(child_depth)
-        task.state = TaskState.RESTING
         if b is None:
             self._ctl[CTL_WAITS] += 1
             self._waiting_spawn[child_depth].append(task)
@@ -587,7 +578,6 @@ class TaskTree:
             # Entry and address token are reused by the extended entry.
             s.e_vertex[slot] = parent.children_vertices[position]
             s.e_child_index[slot] = position
-            task.state = TaskState.IDLE
             cap = s.cap
             s.ring[b * cap + (int(s.ring_head[b]) + int(s.ring_len[b])) % cap] = slot
             s.ring_len[b] += 1
@@ -598,7 +588,6 @@ class TaskTree:
             self.tokens[task.depth].release(task.token)
             task.token = None
         s.e_token[task.slot] = -1
-        task.state = TaskState.IDLE
         s.b_active[b] -= 1
         if s.b_active[b] < 0:
             raise SimulationError("bunch active count underflow")
@@ -674,10 +663,6 @@ class TaskTree:
             return self._ctl[CTL_READY]
         mask = (s.ring_len > 0) & (s.b_quiesced == 0)
         return int(s.ring_len[mask].sum())
-
-    def executing_count(self) -> int:
-        """Tasks currently in the PE pipeline (SoA counter)."""
-        return self._ctl[CTL_EXECUTING]
 
     @property
     def op_calls(self) -> Dict[str, int]:

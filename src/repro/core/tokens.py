@@ -16,7 +16,7 @@ which is how buffer recycling interacts with the L1 in the real design.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..errors import SimulationError
 
@@ -24,96 +24,21 @@ from ..errors import SimulationError
 INTERMEDIATE_REGION_BASE = 1 << 20
 
 
-class TokenPool:
-    """A pool of address tokens for one search depth.
-
-    The pool tracks *capacity*, not token identity: ``resize`` changes
-    how many tokens may circulate, minting fresh ones to grow and
-    retiring tokens to shrink (free ones immediately, held ones lazily
-    on release, so a live candidate set is never invalidated).
-    """
-
-    def __init__(self, count: int) -> None:
-        if count < 1:
-            raise SimulationError("token pool needs at least one token")
-        self.target = count
-        self._next_fresh = count
-        self._free: List[int] = list(range(count - 1, -1, -1))
-        self._held: set = set()
-        self._retired: set = set()  # held tokens that must not return
-
-    @property
-    def available(self) -> int:
-        """Number of free tokens."""
-        return len(self._free)
-
-    @property
-    def held(self) -> int:
-        """Number of tokens currently held by live candidate sets."""
-        return len(self._held)
-
-    def acquire(self) -> Optional[int]:
-        """Take a token, or ``None`` when the pool is exhausted."""
-        if not self._free:
-            return None
-        token = self._free.pop()
-        self._held.add(token)
-        return token
-
-    def release(self, token: int) -> None:
-        """Return a token to the pool; double release is a simulator bug."""
-        if token not in self._held:
-            raise SimulationError(f"release of token {token} not held")
-        self._held.remove(token)
-        if token in self._retired:
-            # A pending shrink consumed this token's capacity.
-            self._retired.remove(token)
-        else:
-            self._free.append(token)
-
-    def resize(self, count: int) -> None:
-        """Change the pool capacity (the paper's dynamic token knob)."""
-        if count < 1:
-            raise SimulationError("token pool cannot shrink below one")
-        if count > self.target:
-            need = count - self.target
-            # A pending shrink can be cancelled before minting fresh tokens.
-            while need and self._retired:
-                self._retired.pop()
-                need -= 1
-                # The un-retired token is still held; it returns on release.
-            self._free.extend(range(self._next_fresh, self._next_fresh + need))
-            self._next_fresh += need
-        else:
-            drop = self.target - count
-            while drop and self._free:
-                self._free.pop()
-                drop -= 1
-            for token in sorted(self._held, reverse=True):
-                if not drop:
-                    break
-                if token not in self._retired:
-                    self._retired.add(token)
-                    drop -= 1
-        self.target = count
-
-
 class ArrayTokenPool:
-    """:class:`TokenPool`-compatible view over the task tree's token arrays.
+    """One depth's address-token pool, viewed over the task tree's arrays.
 
     The struct-of-arrays task tree keeps its token state in two flat
     ``int64`` arrays (a LIFO free stack per depth plus a free count) so
     the tree ops can acquire and release without touching Python
     objects.  This adapter exposes the slice of those arrays for one
-    depth through the :class:`TokenPool` object API — ``acquire``/
-    ``release``/``available``/``held`` — for the tree's interpreted cold
-    edges (partition intake, recycle).  Because it reads and writes the
+    depth through a small object API — ``acquire``/``release``/
+    ``available``/``held`` — for the tree's interpreted cold edges
+    (partition intake, recycle).  Because it reads and writes the
     *same* memory the ops do, the two views can never drift.
 
-    The stack discipline is bit-compatible with :class:`TokenPool`:
-    the free stack is initialized ``[count-1 .. 0]`` with the top at the
+    The free stack is initialized ``[count-1 .. 0]`` with the top at the
     end, so token 0 is acquired first and releases push back on top.
-    ``resize`` is unsupported — the tree never resizes its pools.
+    A pool's size is fixed for the run (``tokens_per_depth``).
     """
 
     def __init__(self, free_view, count_view, target: int) -> None:
@@ -159,8 +84,8 @@ class SetBufferMap:
     Every buffer holds one candidate set and is sized for the worst case
     (``buffer_lines`` cache lines, normally ``ceil(max_degree * 4 / 64)``),
     so addresses are static for the whole run.  Buffer indices beyond
-    ``buffers_per_depth`` (BFS's unbounded frontier, or a grown token
-    pool) spill into a per-depth overflow region; addresses stay distinct
+    ``buffers_per_depth`` (BFS's unbounded frontier) spill into a
+    per-depth overflow region; addresses stay distinct
     per (depth, index), and the resulting cache pressure *is* the BFS
     memory-consumption explosion the paper describes.
     """

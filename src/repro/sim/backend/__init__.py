@@ -1,9 +1,8 @@
 """Runtime-selectable kernel backends for the simulator hot path.
 
 The hottest validated kernels — sorted-set intersection/subtraction
-(``mining/setops.py``), span residency/stamping and EMA latency folds
-(``sim/memory.py``) and the task tree's scheduler ops (``tree_bind``) —
-live behind this interface with two implementations:
+(``mining/setops.py``) and the task tree's scheduler ops
+(``tree_bind``) — live behind this interface with two implementations:
 
 ``pure``
     The existing python/numpy reference (:mod:`.pure`).  Always
@@ -16,8 +15,11 @@ live behind this interface with two implementations:
     one call; under ``pure`` every task books per-event, and that path
     is the reference the core is tested against.
 
-The event-drain inner loop (:mod:`.engine_loop`) has one
-implementation, shared by both.
+The engine's event queue drains in one of two loops
+(:mod:`.engine_loop`): the Python drain, which runs every pure-backend
+simulation and the BFS and parallel-DFS policies, and the compiled
+event lane (``lane_bind``), which a Shogun or pseudo-DFS accelerator
+binds under ``cext``.
 
 Selection
 ---------
@@ -79,8 +81,6 @@ def _make_pure() -> KernelSet:
         _pure.intersect,
         _pure.subtract,
         _pure.intersect_multi,
-        _pure.span_resident_stamp,
-        _pure.ema_fold,
         _pure.tree_bind,
     )
 

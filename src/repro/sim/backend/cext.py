@@ -2,10 +2,10 @@
 
 The kernels are C loops over flat buffers, written below and held to
 the pure backend (:mod:`.pure`) by the kernel-parity suite: the set
-operations and span stamp produce identical outputs and cache state,
-the EMA fold repeats the pure loop's double expressions, the task-tree
-ops mirror :func:`.pure.tree_bind` statement for statement, and the
-macro-step core mirrors the per-event booking path.  They are compiled
+operations produce identical outputs, the task-tree ops mirror
+:func:`.pure.tree_bind` statement for statement, and the macro-step
+core mirrors the per-event booking path, its memory commits the one
+per-line walk of each access kind in ``sim/memory.py``.  They are compiled
 on demand with the system C compiler into a shared object
 cached under ``$REPRO_KERNEL_CACHE`` (default ``~/.cache/repro/kernels``)
 keyed by a hash of the source and compiler, so every process after the
@@ -25,9 +25,9 @@ setuptools/distutils — the compiler is driven directly:
 
 Two flags matter for metric byte-identity:
 
-* ``-ffp-contract=off`` — gcc at ``-O2`` may otherwise fuse the EMA's
-  multiply-add into an FMA, which rounds once instead of twice and
-  drifts from the Python loop's doubles.
+* ``-ffp-contract=off`` — gcc at ``-O2`` may otherwise fuse the macro
+  core's latency-window EMA multiply-add into an FMA, which rounds once
+  instead of twice and drifts from the Python walk's doubles.
 * no ``-ffast-math`` — IEEE semantics throughout.
 
 Anything missing (cffi, a C compiler, a writable cache dir, a failed
@@ -113,47 +113,19 @@ int64_t repro_subtract(const int64_t *a, int64_t na,
     return k;
 }
 
-int repro_resident_stamp(const int64_t *tags, int64_t *stamps,
-                         int64_t num_sets, int64_t assoc,
-                         int64_t first_line, int64_t last_line, int64_t tick)
-{
-    for (int64_t addr = first_line; addr <= last_line; addr++) {
-        const int64_t *ways = tags + (addr % num_sets) * assoc;
-        int hit = 0;
-        for (int64_t w = 0; w < assoc; w++) {
-            if (ways[w] == addr) { hit = 1; break; }
-        }
-        if (!hit) return 0;
-    }
-    for (int64_t addr = first_line; addr <= last_line; addr++) {
-        int64_t base = (addr % num_sets) * assoc;
-        for (int64_t w = 0; w < assoc; w++) {
-            if (tags[base + w] == addr) { stamps[base + w] = tick++; break; }
-        }
-    }
-    return 1;
-}
-
-void repro_ema_fold(double *state, double alpha, double latency, int64_t n)
-{
-    double value = state[0];
-    double total = state[1];
-    for (int64_t i = 0; i < n; i++) {
-        value += alpha * (latency - value);
-        total += latency;
-    }
-    state[0] = value;
-    state[1] = total;
-}
-
 /* Macro-step engine core: one task booked through every pipeline stage.
  *
  * Mirrors the Python per-event path — PE._book_front, _book_body and
- * _book_tail in sim/pe.py, MemorySystem.fetch_*_span and
- * install_intermediate_span in sim/memory.py, IUPool.submit in
- * sim/fu.py — with the same double expressions in the same order, so
- * the booked state is bit-identical.  Phase 1 probes every cache
- * precondition without side effects; phase 2 commits.  One struct per
+ * _book_tail in sim/pe.py, IUPool.submit in sim/fu.py, and on all-hit
+ * spans the per-line memory walks of sim/memory.py
+ * (MemorySystem._fetch_intermediate_walk, fetch_graph_spans and
+ * install_intermediate_span) — with the same double expressions in the
+ * same order, so the booked state is bit-identical.  The graph-span
+ * commit is fetch_graph_spans' per-line loop statement for statement;
+ * the intermediate-span commit folds the latency window line by line
+ * and takes the last line's finish (hit latencies are constant, so it
+ * is the walk's maximum).  Phase 1 probes every cache precondition
+ * without side effects; phase 2 commits.  One struct per
  * PE holds pre-offset pointers into the owning objects' numpy storage
  * plus the config scalars, so a call marshals only the per-task
  * scalars.
@@ -200,7 +172,6 @@ typedef struct {
     double segment_cycles;
     double num_dividers;
     int64_t fetch_ports;
-    int64_t stream_ok;
 } repro_core_t;
 
 int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
@@ -319,30 +290,13 @@ int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
         double done = t;
         int64_t i = 0;
         for (s = 0; s < nspans; s++) {
-            int64_t first = c->spans[2 * s];
-            int64_t last = c->spans[2 * s + 1];
-            if (last == first) {
-                base = (first % l2_sets) * l2_assoc;
-                for (way = 0; way < l2_assoc; way++) {
-                    if (c->l2_tags[base + way] == first) {
-                        c->l2_stamps[base + way] = tick++;
-                        break;
-                    }
-                }
-                hits += 1;
+            for (addr = c->spans[2 * s]; addr <= c->spans[2 * s + 1]; addr++) {
                 double issue = t + (double)(i / ports);
                 double arrive = issue + c->hop;
-                int64_t bank = first % nbanks;
+                int64_t bank = addr % nbanks;
                 double queued = c->bank_free[bank];
                 double st = queued >= arrive ? queued : arrive;
                 c->bank_free[bank] = st + c->l2_service;
-                double back = st + c->l2_hit + c->hop;
-                if (back > done) done = back;
-                i += 1;
-                continue;
-            }
-            int64_t n = last - first + 1;
-            for (addr = first; addr <= last; addr++) {
                 base = (addr % l2_sets) * l2_assoc;
                 for (way = 0; way < l2_assoc; way++) {
                     if (c->l2_tags[base + way] == addr) {
@@ -350,60 +304,10 @@ int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
                         break;
                     }
                 }
-            }
-            hits += n;
-            int64_t bank = first % nbanks;
-            int64_t head = (c->stream_ok && n > nbanks) ? nbanks : n;
-            int streaming = 1;
-            for (int64_t h = 0; h < head; h++) {
-                double issue = t + (double)(i / ports);
-                double arrive = issue + c->hop;
-                double queued = c->bank_free[bank];
-                double st;
-                if (queued >= arrive) {
-                    st = queued;
-                    if (queued > arrive) streaming = 0;
-                } else {
-                    st = arrive;
-                }
-                c->bank_free[bank] = st + c->l2_service;
+                hits += 1;
                 double back = st + c->l2_hit + c->hop;
                 if (back > done) done = back;
                 i += 1;
-                bank += 1;
-                if (bank == nbanks) bank = 0;
-            }
-            int64_t rest = n - head;
-            if (rest > 0) {
-                if (streaming) {
-                    int64_t last_k = i + rest - 1;
-                    double back =
-                        ((t + (double)(last_k / ports)) + c->hop)
-                        + c->l2_hit + c->hop;
-                    if (back > done) done = back;
-                    int64_t lim = rest < nbanks ? rest : nbanks;
-                    for (int64_t h = 0; h < lim; h++) {
-                        double arrive =
-                            (t + (double)(last_k / ports)) + c->hop;
-                        int64_t b = (first + (last_k - i) + head) % nbanks;
-                        c->bank_free[b] = arrive + c->l2_service;
-                        last_k -= 1;
-                    }
-                    i += rest;
-                } else {
-                    for (int64_t h = 0; h < rest; h++) {
-                        double issue = t + (double)(i / ports);
-                        double arrive = issue + c->hop;
-                        double queued = c->bank_free[bank];
-                        double st = queued >= arrive ? queued : arrive;
-                        c->bank_free[bank] = st + c->l2_service;
-                        double back = st + c->l2_hit + c->hop;
-                        if (back > done) done = back;
-                        i += 1;
-                        bank += 1;
-                        if (bank == nbanks) bank = 0;
-                    }
-                }
             }
         }
         c->l2_meta[0] = tick;
@@ -1398,10 +1302,6 @@ int64_t repro_intersect(const int64_t *a, int64_t na,
                         const int64_t *b, int64_t nb, int64_t *out);
 int64_t repro_subtract(const int64_t *a, int64_t na,
                        const int64_t *b, int64_t nb, int64_t *out);
-int repro_resident_stamp(const int64_t *tags, int64_t *stamps,
-                         int64_t num_sets, int64_t assoc,
-                         int64_t first_line, int64_t last_line, int64_t tick);
-void repro_ema_fold(double *state, double alpha, double latency, int64_t n);
 typedef struct {
     double *decode_free;
     double *dispatch_free;
@@ -1439,7 +1339,6 @@ typedef struct {
     double segment_cycles;
     double num_dividers;
     int64_t fetch_ports;
-    int64_t stream_ok;
 } repro_core_t;
 int64_t repro_task_fastpath(repro_core_t *c, double now, int64_t is_leaf,
                             int64_t vertex_line,
@@ -1774,19 +1673,13 @@ class _CLib:
     invocation here costs about as much as the C loop it wraps, so
     every hundred nanoseconds of marshalling shows up in the speedup.
 
-    * **Pointer cache** — long-lived state arrays (cache tag/stamp
-      arrays, the glue's reusable output buffers) are marshalled once
-      and the resulting cdata cached by object identity.  This is safe
+    * **Pointer cache** — long-lived arrays (the glue's reusable
+      output buffers) are marshalled once and the resulting cdata
+      cached by object identity.  This is safe
       because ``from_buffer`` pins the underlying array: a cached id
       can never be reused by a different array while its entry lives.
       Ephemeral operands (neighbor sets) are never cached — pinning
       them would leak.
-    * **EMA state in cdata** — :meth:`ema_fold_window` folds through a
-      2-double cdata buffer, skipping the numpy scratch handshake
-      (cdata scalar access is cheaper than numpy item access, and
-      doubles round-trip bit-exactly).  The buffer is made per call:
-      cffi releases the GIL inside the C loop, so one shared buffer
-      would race between simulations running in threads of one process.
     """
 
     #: Pointer-cache capacity; eviction just clears (entries rebuild on
@@ -1874,25 +1767,6 @@ class _CLib:
             cur = dst
             dst, alt = alt, dst
         return ncur
-
-    def resident_stamp_loop(self, tags, stamps, num_sets, assoc, first_line, last_line, tick):
-        return bool(
-            self._lib.repro_resident_stamp(
-                self._pinned(tags, False),
-                self._pinned(stamps, True),
-                num_sets,
-                assoc,
-                first_line,
-                last_line,
-                tick,
-            )
-        )
-
-    def ema_fold_window(self, window, latency, n):
-        state = self._ffi.new("double[2]", (window.value, window.total_latency))
-        self._lib.repro_ema_fold(state, window.alpha, latency, n)
-        window.value = state[0]
-        window.total_latency = state[1]
 
     def macro_bind(self, accel, spans, result):
         """Per-PE macro-step bindings: ``repro_core_t`` structs with
@@ -1993,7 +1867,6 @@ class _CLib:
             core.segment_cycles = float(config.segment_cycles)
             core.num_dividers = float(config.num_dividers)
             core.fetch_ports = int(config.fetch_ports)
-            core.stream_ok = 1 if memory._l2_stream_ok else 0
             books.append(functools.partial(fastpath, core))
             cores.append(core)
         return books, cores, keep

@@ -1,18 +1,14 @@
 """Object-level glue for the compiled kernel backend (the C extension).
 
-The C extension exposes loop kernels taking flat ``int64``/``float64``
-numpy buffers (``intersect_loop(a, b, out)``, ``subtract_loop(a, b,
-out)``, ``resident_stamp_loop(tags, stamps, num_sets, assoc, first,
-last, tick)``, each returning a count or a flag) plus a persistent-state
-EMA fold; the object-level adaptation lives here: operand normalization,
-output allocation, and the ``Cache``/``PELatencyWindow`` state
-handshakes.
+The C extension exposes loop kernels taking flat ``int64`` numpy
+buffers (``intersect_loop(a, b, out)``, ``subtract_loop(a, b, out)``,
+``intersect_multi_loop(arrays, out, scratch)``, each returning a
+count); the object-level adaptation lives here: operand normalization
+and output allocation.
 
 The adapters preserve the pure backend's exact observable behavior:
 identical result arrays (sorted unique ``int64``; the shared ``EMPTY``
-singleton for empty results), identical cache state (stamps in address
-order, consecutive ticks), and bit-identical floats (the C loops use the
-pure backend's double expressions in the same order).
+singleton for empty results).
 """
 
 from __future__ import annotations
@@ -46,15 +42,13 @@ class KernelSet:
     """
 
     def __init__(self, name, compiled, intersect, subtract, intersect_multi,
-                 span_resident_stamp, ema_fold, tree_bind, macro_bind=None,
-                 derive_bind=None, lane_bind=None):
+                 tree_bind, macro_bind=None, derive_bind=None,
+                 lane_bind=None):
         self.name = name
         self.compiled = compiled
         self.intersect = intersect
         self.subtract = subtract
         self.intersect_multi = intersect_multi
-        self.span_resident_stamp = span_resident_stamp
-        self.ema_fold = ema_fold
         #: Task-tree binder ``(state) -> ops`` whose ``select``/``fill``/
         #: ``complete`` take every ``TaskTree`` decision over one
         #: ``TaskTreeState`` (interpreted closures for pure; the C
@@ -73,19 +67,13 @@ class KernelSet:
         #: backend, whose ``PE._derive`` runs ``SearchContext``.
         self.derive_bind = derive_bind
         #: Event-lane binder ``(accel=None) -> ops`` (the C extension's
-        #: time queue plus the Shogun leaf-task cycle; a bare queue
-        #: without ``accel``).  ``None`` for the pure backend, whose
-        #: engine drains in Python.
+        #: time queue plus the leaf-task cycle of Shogun and pseudo-DFS;
+        #: a bare queue without ``accel``).  ``None`` for the pure
+        #: backend, whose engine drains in Python.
         self.lane_bind = lane_bind
 
     #: Kernel attributes eligible for per-kernel instrumentation.
-    KERNELS = (
-        "intersect",
-        "subtract",
-        "intersect_multi",
-        "span_resident_stamp",
-        "ema_fold",
-    )
+    KERNELS = ("intersect", "subtract", "intersect_multi")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"KernelSet({self.name!r}, compiled={self.compiled})"
@@ -97,8 +85,6 @@ def make_kernel_set(name: str, lib) -> KernelSet:
     lib_intersect = lib.intersect_loop
     lib_subtract = lib.subtract_loop
     lib_multi = lib.intersect_multi_loop
-    lib_resident = lib.resident_stamp_loop
-    lib_ema_window = lib.ema_fold_window
     empty = np.empty
 
     # Reusable result buffers: the loop kernels write into these and the
@@ -148,39 +134,8 @@ def make_kernel_set(name: str, lib) -> KernelSet:
             return EMPTY
         return out[:k].copy()
 
-    def span_resident_stamp(cache, first_line, last_line):
-        if lib_resident(
-            cache._tags,
-            cache._stamps,
-            cache.num_sets,
-            cache.assoc,
-            first_line,
-            last_line,
-            cache._tick,
-        ):
-            cache._tick += last_line - first_line + 1
-            return True
-        return False
-
-    def ema_fold(window, latency, n):
-        if n >= 8:
-            # Adapter-owned state handshake (a C-side pair per call).
-            lib_ema_window(window, latency, n)
-        else:
-            # Tiny folds: the call/handshake overhead outweighs the loop.
-            alpha = window.alpha
-            value = window.value
-            total = window.total_latency
-            for _ in range(n):
-                value += alpha * (latency - value)
-                total += latency
-            window.value = value
-            window.total_latency = total
-        window.samples += n
-
     return KernelSet(
-        name, True, intersect, subtract, intersect_multi,
-        span_resident_stamp, ema_fold, lib.tree_bind,
+        name, True, intersect, subtract, intersect_multi, lib.tree_bind,
         macro_bind=lib.macro_bind, derive_bind=lib.derive_bind,
         lane_bind=lib.lane_bind,
     )

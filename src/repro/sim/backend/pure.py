@@ -2,11 +2,10 @@
 
 These are the exact kernels the simulator ran before the backend layer
 existed: the searchsorted set operations from ``mining.setops`` and the
-tiered span-residency / EMA folds lifted verbatim out of
-``sim/memory.py``.  The compiled backend is differential-tested against
-this one (``tests/test_backend_parity.py``).  There is no macro-step
-core here: under this backend every task books per-event, which is the
-reference the compiled core is tested against.
+task tree's interpreted ops.  The compiled backend is
+differential-tested against this one (``tests/test_backend_parity.py``).
+There is no macro-step core here: under this backend every task books
+per-event, which is the reference the compiled core is tested against.
 
 Kernel contracts
 ----------------
@@ -21,16 +20,6 @@ Kernel contracts
     kernel call per chain lets compiled backends amortize their call
     overhead across all operands.
 
-``span_resident_stamp(cache, first_line, last_line)``
-    If every line of the span is resident in ``cache``, stamp the hit
-    ways in address order with consecutive ticks (advancing
-    ``cache._tick``) and return True; otherwise change nothing and
-    return False.  Hit/miss *statistics* are the caller's job — the
-    writeback path refreshes LRU without counting hits.
-
-``ema_fold(window, latency, n)``
-    Fold ``n`` identical latencies into a ``PELatencyWindow``.
-
 ``tree_bind(state)``
     The ``select``/``fill``/``span``/``complete`` ops every
     ``TaskTree`` decision goes through, bound over one tree's
@@ -38,9 +27,10 @@ Kernel contracts
 
 ``lane_bind(accel)``
     Compiled backends only (``None`` here): the engine's time queue
-    plus a Shogun leaf task's whole cycle in one compiled drain.  Under
-    this backend ``Engine.run`` drains in Python and every event runs
-    its Python handler, the reference the lane mirrors.
+    plus the whole cycle of a Shogun leaf task or a pseudo-DFS leaf
+    group in one compiled drain.  Under this backend ``Engine.run``
+    drains in Python and every event runs its Python handler, the
+    reference the lane mirrors.
 
 ``derive_bind(accel, spans)``
     Compiled backends only (``None`` here): one call derives a
@@ -55,8 +45,6 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import numpy as np
-
 from ...mining.setops import (
     _intersect_multi_numpy,
     _intersect_numpy,
@@ -66,63 +54,6 @@ from ...mining.setops import (
 intersect = _intersect_numpy
 subtract = _subtract_numpy
 intersect_multi = _intersect_multi_numpy
-
-
-def span_resident_stamp(cache, first_line: int, last_line: int) -> bool:
-    """Tiered all-resident probe + batch LRU stamp (see module docs).
-
-    The tiers mirror the span sizes the simulator produces: a scalar
-    dict walk for narrow spans (numpy setup costs more than a few dict
-    probes), a listcomp probe with batch stamping for mid-size spans,
-    and the vectorized tag-array probe for very wide ones.  All three
-    leave identical state: hit ways stamped in address order with
-    consecutive ticks, nothing touched on a miss.
-    """
-    n = last_line - first_line + 1
-    tick = cache._tick
-    if n >= 64:
-        sets, hit_ways, mask = cache._span_probe(first_line, last_line)
-        if not mask.all():
-            return False
-        cache._stamps[sets * cache.assoc + hit_ways.argmax(axis=1)] = np.arange(
-            tick, tick + n, dtype=np.int64
-        )
-    elif n >= 8:
-        where_get = cache._where.get
-        slots = [where_get(addr) for addr in range(first_line, last_line + 1)]
-        if None in slots:
-            return False
-        cache._stamps[slots] = np.arange(tick, tick + n, dtype=np.int64)
-    else:
-        where_get = cache._where.get
-        slots = []
-        append = slots.append
-        for addr in range(first_line, last_line + 1):
-            slot = where_get(addr)
-            if slot is None:
-                return False
-            append(slot)
-        stamps = cache._stampv
-        for slot in slots:
-            stamps[slot] = tick
-            tick += 1
-        cache._tick = tick
-        return True
-    cache._tick = tick + n
-    return True
-
-
-def ema_fold(window, latency: float, n: int) -> None:
-    """Per-access EMA folds of ``n`` identical latencies (exact loop)."""
-    alpha = window.alpha
-    value = window.value
-    total = window.total_latency
-    for _ in range(n):
-        value += alpha * (latency - value)
-        total += latency
-    window.value = value
-    window.total_latency = total
-    window.samples += n
 
 
 def tree_bind(state):

@@ -21,15 +21,16 @@ Two event shapes share the queue:
   one at a time as ``owner.dispatch_event(payload)``.  Task completions
   use this shape: no closure allocation per task.
 
-Under the pure backend, and for every policy but Shogun, the drain
-inner loop is :func:`repro.sim.backend.engine_loop.drain`, in Python.
-Under a compiled backend a Shogun accelerator binds the **compiled
-event lane** (:class:`repro.sim.backend.engine_loop.EventLane`): the
-queue itself moves into C with the same ordering contract, Python
-callables and typed events ride it as opaque handles, and one C drain
-runs a leaf task's whole cycle (completion, kick, the dispatch pass
-that follows and the next leaf's booking) without a Python frame,
-returning to Python in event order for everything else.  The lane
+Under the pure backend, and for the BFS and parallel-DFS policies, the
+drain inner loop is :func:`repro.sim.backend.engine_loop.drain`, in
+Python.  Under a compiled backend a Shogun or pseudo-DFS (FINGERS, DFS)
+accelerator binds the **compiled event lane**
+(:class:`repro.sim.backend.engine_loop.EventLane`): the queue itself
+moves into C with the same ordering contract, Python callables and
+typed events ride it as opaque handles, and one C drain runs a leaf
+task's whole cycle (completion, kick, the dispatch pass that follows
+and the next leaf's booking) without a Python frame, returning to
+Python in event order for everything else.  The lane
 replaces :meth:`at`, :meth:`after`, :meth:`post` and :meth:`pending`
 on the bound engine and :meth:`run` hands it the drain; unbinding
 restores this class's queue.

@@ -35,18 +35,23 @@ last_line)`` spans known from two divisions — never materialized lists.
 :meth:`MemorySystem.fetch_intermediate_span` and
 :meth:`MemorySystem.fetch_graph_spans` run once per set-operation input
 of every simulated task, with tiny spans (the average neighbor set
-covers one or two cache lines).  Both take an all-hit fast path — a
-side-effect-free residency probe, then batch LRU stamping and a
-float-only latency walk — and fall back to the exact per-line walk of
-the sequence entry points (:meth:`MemorySystem.fetch_intermediate` /
-:meth:`MemorySystem.fetch_graph`, retained for strided multi-round
-chunks) whenever any line misses.  All arithmetic keeps the exact
-per-line expressions of the original model —
-``latency = back - issue``, ``done = max(done, issue + latency)``,
-sequential bank/channel booking, per-access EMA folds — so every
-accounted metric is bit-identical; ``tests/test_sim_memory_spans.py``
-drives span and sequence entries over recorded random traces and asserts
-identical timing, cache state and counters.
+covers one or two cache lines).  Each access kind has exactly one
+per-line walk: :meth:`MemorySystem._fetch_intermediate_walk` charges L1
+lines (the span entry walks a ``range``, the sequence entry
+:meth:`MemorySystem.fetch_intermediate` a strided multi-round chunk) and
+:meth:`MemorySystem.fetch_graph_spans` charges L2 lines
+(:meth:`MemorySystem.fetch_graph` hands it one-line spans);
+:meth:`MemorySystem.fetch_intermediate_line` is the one-line,
+window-free vertex fetch.  The walks keep the exact per-line
+expressions of the model — ``latency = back - issue``, ``done =
+max(done, issue + latency)``, sequential bank/channel booking,
+per-access EMA folds — and the compiled macro-step core commits
+all-hit spans with the same arithmetic (the L2 walk statement for
+statement), so every accounted metric is bit-identical under every
+backend.  ``tests/test_sim_memory_spans.py`` drives the span
+and sequence entries against verbatim per-line reference walks over
+recorded random traces and asserts identical timing, cache state and
+counters.
 """
 
 from __future__ import annotations
@@ -221,38 +226,9 @@ class Cache:
         where[line_addr] = slot
         return evicted
 
-    # ------------------------------------------------------------------
-    # span kernels
-    # ------------------------------------------------------------------
-    def _span_probe(self, first_line: int, last_line: int):
-        """Residency of the span ``[first_line, last_line]`` (no state change).
-
-        Returns ``(sets, hit_ways, mask)`` numpy arrays: the set index per
-        line, the per-way tag-match matrix and the per-line hit mask.
-        Span lines are consecutive integers, hence always distinct.
-        """
-        addrs = np.arange(first_line, last_line + 1, dtype=np.int64)
-        sets = addrs % self.num_sets
-        hit_ways = self._tags.reshape(self.num_sets, self.assoc)[sets] == addrs[:, None]
-        return sets, hit_ways, hit_ways.any(axis=1)
-
     def insert_span(self, first_line: int, last_line: int) -> List[int]:
-        """Batched :meth:`insert` of a span; returns evicted line addresses.
-
-        A span whose lines are *all already resident* (a pure LRU
-        refresh — the usual writeback to a reused set address) takes the
-        active backend's ``span_resident_stamp`` kernel, which is
-        order-independent at any width because restamping never evicts.
-        Every other span walks :meth:`insert` line by line, so eviction
-        interleaving stays exact.
-        """
-        n = last_line - first_line + 1
-        if n <= 0:
-            return []
-        if n >= 2 and _backend._active.span_resident_stamp(
-            self, first_line, last_line
-        ):
-            return []
+        """:meth:`insert` of every line of a span, in address order;
+        returns the evicted line addresses in eviction order."""
         insert = self.insert
         out: List[int] = []
         for addr in range(first_line, last_line + 1):
@@ -368,9 +344,8 @@ class MemorySystem:
     def __init__(self, config: SimConfig, num_pes: Optional[int] = None) -> None:
         self.config = config
         # Kernel backend: config override > REPRO_BACKEND > auto.  The
-        # activation is process-global (setops dispatch follows) and the
-        # bound set is consulted per span, so profiler instrumentation
-        # applies to live instances.
+        # activation is process-global (setops dispatch follows); the
+        # task tree and the compiled cores bind through this set.
         self._kernels = _backend.activate(getattr(config, "backend", None))
         pes = num_pes if num_pes is not None else config.num_pes
         line = config.cache_line_bytes
@@ -400,15 +375,6 @@ class MemorySystem:
         self._l2_hit_cycles = config.l2_hit_cycles
         self._l2_service_cycles = config.l2_service_cycles
         self._hop_cycles = self.noc.hop_cycles
-        # Stream-mode precondition for the span bank walk: consecutive
-        # visits to one bank are >= l2_banks // fetch_ports cycles apart
-        # (banks cycle with consecutive line addresses; lines issue
-        # fetch_ports per cycle), so with the service time strictly below
-        # that spacing a bank that once starts at arrival never queues
-        # again within the span.  Strict `<` leaves rounding headroom.
-        self._l2_stream_ok = float(config.l2_service_cycles) < (
-            len(self._l2_bank_free) // max(1, config.fetch_ports)
-        )
         #: [graph_line_fetches, intermediate_line_fetches] — one int64
         #: buffer so the compiled macro-step core counts lines in place.
         self._stats = memoryview(np.zeros(2, dtype=np.int64))
@@ -481,8 +447,7 @@ class MemorySystem:
         monitor sees the dispatch unit's *set* fetch latency, not a
         stream of hot one-line reads.
 
-        Sequence entry point: used by the strided multi-round chunks and
-        as the oracle/fallback for :meth:`fetch_intermediate_span`.
+        Sequence entry point, used by the strided multi-round chunks.
         """
         return self._fetch_intermediate_walk(pe_id, line_addrs, now, record_window)
 
@@ -497,49 +462,12 @@ class MemorySystem:
     ) -> float:
         """Span-native :meth:`fetch_intermediate` over ``[first_line, last_line]``.
 
-        The hot path of every task start.  The active backend's
-        ``span_resident_stamp`` kernel picks the all-hit fast path —
-        residency probe plus batch LRU stamping, then a float-only fold
-        of the constant hit latency into the PE's window (the backend's
-        ``ema_fold`` kernel), with the batch completion time computed
-        from the last line's issue slot (latencies are constant, so the
-        last finish is the max) — and any miss falls back to the exact
-        per-line walk.  Both paths reproduce the sequence entry point
-        bit-for-bit under every backend.
+        The hot path of every task start: the same per-line walk, over
+        the span's lines as a ``range``.
         """
-        l1 = self.l1s[pe_id]
-        if last_line == first_line:
-            # Single-line span — the dominant case: straight-line code.
-            slot = l1._where.get(first_line)
-            if slot is None:
-                return self._fetch_intermediate_walk(
-                    pe_id, (first_line,), now, record_window
-                )
-            meta = l1._meta
-            tick = meta[0]
-            l1._stampv[slot] = tick
-            meta[0] = tick + 1
-            meta[1] += 1
-            self._stats[1] += 1
-            l1_hit = self._l1_hit_cycles_f
-            if record_window:
-                self.l1_windows[pe_id].record(l1_hit)
-            finish = (now + 0) + l1_hit
-            return finish if finish > now else now
-        if not self._kernels.span_resident_stamp(l1, first_line, last_line):
-            # Miss somewhere in the span (rare): the probe changed
-            # nothing, so the sequential walk replays from scratch.
-            return self._fetch_intermediate_walk(
-                pe_id, range(first_line, last_line + 1), now, record_window
-            )
-        n = last_line - first_line + 1
-        l1._meta[1] += n
-        self._stats[1] += n
-        l1_hit = self._l1_hit_cycles_f
-        if record_window:
-            self._kernels.ema_fold(self.l1_windows[pe_id], l1_hit, n)
-        finish = (now + (n - 1) // self._fetch_ports) + l1_hit
-        return finish if finish > now else now
+        return self._fetch_intermediate_walk(
+            pe_id, range(first_line, last_line + 1), now, record_window
+        )
 
     def _fetch_intermediate_walk(
         self,
@@ -548,6 +476,7 @@ class MemorySystem:
         now: float,
         record_window: bool,
     ) -> float:
+        """The L1 walk behind both intermediate-set entries."""
         l1 = self.l1s[pe_id]
         where_get = l1._where.get
         stamps = l1._stampv
@@ -626,31 +555,28 @@ class MemorySystem:
     def fetch_graph(self, pe_id: int, line_addrs: Sequence[int], now: float) -> float:
         """Read CSR graph lines (L2 → DRAM path, bypassing the L1).
 
-        Graph batches may repeat a line (adjacent neighbor sets sharing a
-        boundary cache line), so classification stays sequential — a
-        repeat must see the LRU/bank state its predecessor left behind.
-
-        Sequence entry point: used by the strided multi-round chunks and
-        as the oracle/fallback for :meth:`fetch_graph_spans`.
+        Sequence entry point, used by the strided multi-round chunks:
+        each line is a one-line span of :meth:`fetch_graph_spans`.
         """
-        return self._fetch_graph_walk(pe_id, line_addrs, now)
+        return self.fetch_graph_spans(
+            pe_id, [(addr, addr) for addr in line_addrs], now
+        )
 
     def fetch_graph_spans(
         self, pe_id: int, spans: Sequence[Tuple[int, int]], now: float
     ) -> float:
-        """Span-native :meth:`fetch_graph` over ``(first_line, last_line)`` spans.
+        """Read the graph lines of ``(first_line, last_line)`` spans.
 
-        One span per neighbor-set input, walked in order with a single
-        issue index running across span boundaries — exactly the line
-        order the concatenated sequence entry point would see.  Lines
-        *within* a span are distinct, so when a whole span is resident
-        its classification is order-independent and the span takes the
-        fast path: batch LRU stamping plus a float-only walk of the bank
-        queues (banks cycle with consecutive line addresses).  Spans may
-        still repeat lines *between* each other (adjacent neighbor sets
-        sharing a boundary line); each span probes the state its
-        predecessors left behind, and any span with a miss replays
-        per-line through the exact sequential walk.
+        One span per neighbor-set input, walked line by line in order
+        with a single issue index running across span boundaries.  Lines
+        issue ``fetch_ports`` per cycle; each books its L2 bank (banks
+        cycle with consecutive line addresses, one line per
+        ``l2_service_cycles``), and a miss goes on to DRAM and fills the
+        L2.  Spans may repeat lines between each other (adjacent neighbor
+        sets sharing a boundary cache line), so classification stays
+        sequential — a repeat must see the LRU/bank state its
+        predecessor left behind.  The batch completes when its slowest
+        line returns.
         """
         l2 = self.l2
         where_get = l2._where.get
@@ -663,108 +589,11 @@ class MemorySystem:
         l2_hit = self._l2_hit_cycles
         l2_service = self._l2_service_cycles
         hop = self._hop_cycles
-        stream_ok = self._l2_stream_ok
-        resident_stamp = self._kernels.span_resident_stamp
+        dram_request = self.dram.request
+        l2_insert = l2.insert
         done = now
         i = 0
         for first_line, last_line in spans:
-            if last_line == first_line:
-                # Single-line span — the dominant case (the average
-                # neighbor set covers one or two cache lines): pure
-                # straight-line code, no loops or allocations.
-                slot = where_get(first_line)
-                if slot is not None:
-                    stamps[slot] = tick
-                    tick += 1
-                    hits += 1
-                    issue = now + i // ports
-                    arrive = issue + hop
-                    bank = first_line % nbanks
-                    queued = bank_free[bank]
-                    start = queued if queued >= arrive else arrive
-                    bank_free[bank] = start + l2_service
-                    back = start + l2_hit + hop
-                    if back > done:
-                        done = back
-                    i += 1
-                    continue
-                n = 1
-                resident = False
-            else:
-                # Multi-line span: the backend's residency/stamp kernel
-                # (stamps land in address order with consecutive ticks,
-                # same as the scalar sweep).  The hoisted tick shadow is
-                # synced around the call — the kernel reads and advances
-                # ``l2._tick`` itself.
-                n = last_line - first_line + 1
-                l2._tick = tick
-                resident = resident_stamp(l2, first_line, last_line)
-                tick = l2._tick
-            if resident:
-                # All-hit span: book the banks with float-only arithmetic
-                # (same expressions as the per-line walk; only the cache
-                # probes are gone).
-                hits += n
-                bank = first_line % nbanks
-                head = nbanks if stream_ok and n > nbanks else n
-                streaming = True
-                for _ in range(head):
-                    issue = now + i // ports
-                    arrive = issue + hop
-                    queued = bank_free[bank]
-                    if queued >= arrive:
-                        start = queued
-                        if queued > arrive:
-                            streaming = False
-                    else:
-                        start = arrive
-                    bank_free[bank] = start + l2_service
-                    back = start + l2_hit + hop
-                    if back > done:
-                        done = back
-                    i += 1
-                    bank += 1
-                    if bank == nbanks:
-                        bank = 0
-                rest = n - head
-                if rest > 0:
-                    if streaming:
-                        # Stream mode: the head cleared every bank's
-                        # backlog, so each remaining line starts exactly
-                        # at its arrival.  `back` values are monotone in
-                        # the issue index, so the last line's back is the
-                        # span maximum, and each bank's final booking is
-                        # its last visit's — all with the identical float
-                        # expressions the per-line loop evaluates.
-                        last_k = i + rest - 1
-                        back = ((now + last_k // ports) + hop) + l2_hit + hop
-                        if back > done:
-                            done = back
-                        for _ in range(rest if rest < nbanks else nbanks):
-                            arrive = (now + last_k // ports) + hop
-                            b = (first_line + (last_k - i) + head) % nbanks
-                            bank_free[b] = arrive + l2_service
-                            last_k -= 1
-                        i += rest
-                    else:
-                        for _ in range(rest):
-                            issue = now + i // ports
-                            arrive = issue + hop
-                            queued = bank_free[bank]
-                            start = queued if queued >= arrive else arrive
-                            bank_free[bank] = start + l2_service
-                            back = start + l2_hit + hop
-                            if back > done:
-                                done = back
-                            i += 1
-                            bank += 1
-                            if bank == nbanks:
-                                bank = 0
-                continue
-            # Mixed span (rare): the exact per-line walk, classification
-            # interleaved with fills so later lines see earlier evictions.
-            dram_request = self.dram.request
-            l2_insert = l2.insert
             for addr in range(first_line, last_line + 1):
                 issue = now + i // ports
                 arrive = issue + hop
@@ -779,6 +608,8 @@ class MemorySystem:
                     hits += 1
                     back = start + l2_hit + hop
                 else:
+                    # Miss path (rare): keep the shadowed tick coherent
+                    # across the fill.
                     l2.misses += 1
                     l2._tick = tick
                     back = dram_request(addr, start + l2_hit)
@@ -791,48 +622,6 @@ class MemorySystem:
         l2._tick = tick
         l2._meta[1] += hits
         self._stats[0] += i
-        return done
-
-    def _fetch_graph_walk(self, pe_id: int, line_addrs: Sequence[int], now: float) -> float:
-        l2 = self.l2
-        where_get = l2._where.get
-        stamps = l2._stampv
-        tick = l2._tick
-        hits = 0
-        bank_free = self._l2_bank_free
-        nbanks = len(bank_free)
-        ports = self._fetch_ports
-        l2_hit = self._l2_hit_cycles
-        l2_service = self._l2_service_cycles
-        hop = self._hop_cycles
-        done = now
-        n = 0
-        for i, addr in enumerate(line_addrs):
-            issue = now + i // ports
-            arrive = issue + hop
-            bank = int(addr) % nbanks
-            queued = bank_free[bank]
-            start = queued if queued >= arrive else arrive
-            bank_free[bank] = start + l2_service
-            slot = where_get(addr)
-            if slot is not None:
-                stamps[slot] = tick
-                tick += 1
-                hits += 1
-                back = start + l2_hit + hop
-            else:
-                l2.misses += 1
-                l2._tick = tick
-                back = self.dram.request(addr, start + l2_hit)
-                l2.insert(addr)
-                tick = l2._tick
-                back = back + hop
-            n += 1
-            if back > done:
-                done = back
-        l2._tick = tick
-        l2._meta[1] += hits
-        self._stats[0] += n
         return done
 
     def install_intermediate(self, pe_id: int, line_addrs: Sequence[int]) -> None:
@@ -855,8 +644,8 @@ class MemorySystem:
     ) -> None:
         """Span-native :meth:`install_intermediate` (the writeback path).
 
-        Rides :meth:`Cache.insert_span`'s all-resident fast path; evicted
-        lines spill to the L2 afterwards in eviction order.  Deferring
+        Fills the span through :meth:`Cache.insert_span`; evicted lines
+        spill to the L2 afterwards in eviction order.  Deferring
         the spills is exact: L1 insertion decisions never read L2 state,
         and these spills are the only L2 operations in the call, so their
         relative order — the only thing L2's LRU sees — is unchanged.

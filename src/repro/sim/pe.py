@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.task import SimTask, TaskState
+from ..core.task import SimTask
 from ..core.tokens import SetBufferMap
 from ..errors import SimulationError
 from ..mining.setops import EMPTY
@@ -52,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .accelerator import Accelerator
 
 PolicyFactory = Callable[["PE"], "SchedulingPolicy"]
-
-# Enum members resolved once (descriptor lookups add up on the per-task path).
-_EXECUTING = TaskState.EXECUTING
-_COMPLETE = TaskState.COMPLETE
 
 
 #: Integer and float words a :class:`LanePE` keeps in the
@@ -297,7 +293,6 @@ class PE:
         if now > self.last_integrate:
             self._integrate()
         self.slots_used += 1
-        task.state = _EXECUTING
         macro = self._macro
         if macro is not None:
             # Macro-step core: books the whole task pipeline in one
@@ -409,7 +404,8 @@ class PE:
                 context.children_pruned += n - nkept
                 return ops.res.tolist()
 
-        # Ancestor sets inline (see _ancestor_sets): parent is at hand.
+        # Materialized candidate sets along the ancestor path, cached on
+        # the parent and shared by the siblings (``_child_sets``).
         parent = task.parent
         if parent is None:
             sets = self._no_ancestor_sets
@@ -523,8 +519,8 @@ class PE:
         unit[0] = start + self._unit_interval
         self.engine.post(start + self._post_spawn_cycles, self, task)
 
-    def _ancestor_sets(self, task: SimTask) -> List[Optional[object]]:
-        """Materialized candidate sets along this task's ancestor path.
+    def _child_sets(self, parent: SimTask) -> List[Optional[object]]:
+        """Materialized candidate sets visible to ``parent``'s children.
 
         ``sets[e]`` is the candidate set *for* depth ``e`` (produced by
         the depth ``e - 1`` ancestor); only ancestors still holding their
@@ -536,15 +532,6 @@ class PE:
         descendant exists, and never replaced, so the walk result is
         identical for every child.  ``expand`` only reads the list.
         """
-        parent = task.parent
-        if parent is None:
-            return self._no_ancestor_sets
-        sets = parent.child_sets
-        if sets is None:
-            sets = self._child_sets(parent)
-        return sets
-
-    def _child_sets(self, parent: SimTask) -> List[Optional[object]]:
         grandparent = parent.parent
         if grandparent is None:
             sets: List[Optional[object]] = [None] * (self.schedule.depth + 1)
@@ -621,7 +608,6 @@ class PE:
 
     def _complete_task(self, task: SimTask) -> None:
         self._integrate()
-        task.state = _COMPLETE
         self.tasks_executed += 1
         depth = task.depth
         self.depth_executed[depth] += 1
@@ -719,7 +705,6 @@ class LanePE(PE):
         if now > self._clocks[_LAST]:
             self._integrate()
         self._counts[_SLOTS] += 1
-        task.state = _EXECUTING
         macro = self._macro
         if macro is not None:
             macro.start(self, task, now)
@@ -728,7 +713,6 @@ class LanePE(PE):
 
     def _complete_task(self, task: SimTask) -> None:
         self._integrate()
-        task.state = _COMPLETE
         counts = self._counts
         counts[_TASKS] += 1
         depth = task.depth

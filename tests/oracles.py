@@ -7,6 +7,9 @@ benchmarks) can diff the two:
 * :class:`ReferenceCache` — the original insertion-ordered-dict LRU
   cache, the oracle for the flattened :class:`repro.sim.Cache`'s
   trace-equivalence tests.
+* :func:`reference_fetch_intermediate` and :func:`reference_fetch_graph`
+  — the per-line L1 and L2 walks over a materialized line sequence, the
+  oracles for every :class:`repro.sim.memory.MemorySystem` fetch entry.
 * :func:`legacy_drain` — the one-event-at-a-time drain of an
   :class:`repro.sim.Engine` queue with a ``max_events`` cap, the oracle
   for the bucket-at-a-time drain behind :meth:`repro.sim.Engine.run`.
@@ -16,16 +19,19 @@ benchmarks) can diff the two:
   escape path at chosen tasks.
 * :class:`ReferenceGroupDFS` — pseudo-DFS as the recursive generator
   the explicit walk of :class:`repro.core.GroupDFSPolicy` replaced, the
-  oracle for its task order, barriers and candidate-set releases.
+  oracle for its task order, barriers and candidate-set releases, with
+  the :func:`chunked` helper it groups children by.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.policies.base import SchedulingPolicy, chunked
-from repro.core.task import SimTask, TaskState
+import numpy as np
+
+from repro.core.policies.base import SchedulingPolicy
+from repro.core.task import SimTask
 from repro.errors import ConfigError, SimulationError
 
 
@@ -100,6 +106,101 @@ class ReferenceCache:
         """Hit fraction over all lookups (0.0 when never accessed)."""
         total = self.accesses
         return self.hits / total if total else 0.0
+
+
+def reference_fetch_intermediate(
+    mem, pe_id: int, line_addrs: Sequence[int], now: float, record_window: bool
+) -> float:
+    """Read intermediate-result lines of ``mem`` through L1 → L2 → DRAM,
+    one line at a time (the L1 walk, kept verbatim over ``mem``)."""
+    l1 = mem.l1s[pe_id]
+    where_get = l1._where.get
+    stamps = l1._stampv
+    tick = l1._tick
+    hits = 0
+    config = mem.config
+    ports = mem._fetch_ports
+    l1_hit = mem._l1_hit_cycles_f
+    hop = mem._hop_cycles
+    window = mem.l1_windows[pe_id] if record_window else None
+    record = window.record if window is not None else None
+    done = now
+    n = 0
+    for i, addr in enumerate(line_addrs):
+        issue = now + i // ports
+        slot = where_get(addr)
+        if slot is not None:
+            stamps[slot] = tick
+            tick += 1
+            hits += 1
+            latency = l1_hit
+        else:
+            l1.misses += 1
+            l1._tick = tick
+            arrive_l2 = issue + config.l1_hit_cycles + hop
+            back = mem._l2_access(addr, arrive_l2) + hop
+            evicted = l1.insert(addr)
+            if evicted is not None:
+                mem.l2.insert(evicted)
+            tick = l1._tick
+            latency = back - issue
+        if record is not None:
+            record(latency)
+        n += 1
+        finish = issue + latency
+        if finish > done:
+            done = finish
+    l1._tick = tick
+    l1._meta[1] += hits
+    mem._stats[1] += n
+    return done
+
+
+def reference_fetch_graph(
+    mem, pe_id: int, line_addrs: Sequence[int], now: float
+) -> float:
+    """Read CSR graph lines of ``mem`` (L2 → DRAM, bypassing the L1),
+    one line at a time (the L2 walk, kept verbatim over ``mem``)."""
+    l2 = mem.l2
+    where_get = l2._where.get
+    stamps = l2._stampv
+    tick = l2._tick
+    hits = 0
+    bank_free = mem._l2_bank_free
+    nbanks = len(bank_free)
+    ports = mem._fetch_ports
+    l2_hit = mem._l2_hit_cycles
+    l2_service = mem._l2_service_cycles
+    hop = mem._hop_cycles
+    done = now
+    n = 0
+    for i, addr in enumerate(line_addrs):
+        issue = now + i // ports
+        arrive = issue + hop
+        bank = int(addr) % nbanks
+        queued = bank_free[bank]
+        start = queued if queued >= arrive else arrive
+        bank_free[bank] = start + l2_service
+        slot = where_get(addr)
+        if slot is not None:
+            stamps[slot] = tick
+            tick += 1
+            hits += 1
+            back = start + l2_hit + hop
+        else:
+            l2.misses += 1
+            l2._tick = tick
+            back = mem.dram.request(addr, start + l2_hit)
+            l2.insert(addr)
+            tick = l2._tick
+            back = back + hop
+        n += 1
+        if back > done:
+            done = back
+    l2._tick = tick
+    l2._meta[1] += hits
+    mem._stats[0] += n
+    return done
 
 
 def legacy_drain(engine, max_events: int, until: Optional[float] = None) -> int:
@@ -279,17 +380,17 @@ class ReferenceGroupDFS(SchedulingPolicy):
         for chunk_index, chunk in enumerate(chunked(vertices, size)):
             start = chunk_index * size
             # SimTask positionally: (depth, vertex, embedding, parent,
-            # tree, child_index, state, token, set_address).
+            # tree, child_index, token, set_address).
             if base is None:
                 tasks = [
-                    SimTask(depth, v, prefix + (v,), parent, tree, start + slot, _READY)
+                    SimTask(depth, v, prefix + (v,), parent, tree, start + slot)
                     for slot, v in enumerate(chunk)
                 ]
             else:
                 tasks = [
                     SimTask(
                         depth, v, prefix + (v,), parent, tree, start + slot,
-                        _READY, slot, base + slot * stride,
+                        slot, base + slot * stride,
                     )
                     for slot, v in enumerate(chunk)
                 ]
@@ -304,7 +405,16 @@ class ReferenceGroupDFS(SchedulingPolicy):
         """The task's subtree is done; its candidate set is dead."""
         if task.candidates is not None and task.set_address is not None:
             self.pe.footprint_remove(len(task.candidates) * 4)
-        task.state = TaskState.IDLE
 
 
-_READY = TaskState.READY
+def chunked(values: Sequence[int], size: int) -> List[List[int]]:
+    """Split ``values`` into consecutive chunks of at most ``size``.
+
+    Chunks hold Python ints: an ``int64`` candidate array is converted
+    with one ``tolist`` per chunk, never element by element.
+    """
+    if size < 1:
+        raise ValueError("chunk size must be >= 1")
+    if isinstance(values, np.ndarray):
+        return [values[i : i + size].tolist() for i in range(0, len(values), size)]
+    return [list(values[i : i + size]) for i in range(0, len(values), size)]

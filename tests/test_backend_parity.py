@@ -7,8 +7,7 @@ Three layers, mirroring how the backends are built:
   reference on fuzzed inputs covering both regimes (merge and gallop),
   so a loop bug cannot hide behind the kernel glue.
 * **Kernel parity** — every *available* backend's kernel set against
-  pure: identical outputs and identical accounted side effects (cache
-  stamps/ticks, EMA window state).
+  pure: identical outputs.
 * **Simulation parity** — whole fuzz-corpus simulations must produce
   byte-identical ``RunMetrics`` under every available backend.
 """
@@ -26,7 +25,6 @@ from repro.mining.setops import (
 )
 from repro.sim import SimConfig, backend, simulate
 from repro.sim.backend import pure as pure_backend
-from repro.sim.memory import Cache, PELatencyWindow
 from repro.validate.fuzz import build_config, build_graph, case_rng, make_case
 
 #: Backends that actually built on this machine (pure is always first).
@@ -92,35 +90,6 @@ class TestLoopParity:
         k = lib.subtract_loop(a, b, out)
         np.testing.assert_array_equal(out[:k], np.setdiff1d(a, b))
 
-    def test_ema_fold_loop_bit_identical(self, lib):
-        for n in (1, 3, 8, 17, 300):
-            window = PELatencyWindow()
-            for _ in range(n):
-                window.record(37.25)
-            folded = PELatencyWindow()
-            lib.ema_fold_window(folded, 37.25, n)
-            assert folded.value == window.value
-            assert folded.total_latency == window.total_latency
-
-
-def _filled_cache(lines=32, assoc=4, line_bytes=64, resident=()):
-    cache = Cache(lines * line_bytes, assoc, line_bytes, "t")
-    for addr in resident:
-        cache.insert(addr)
-    return cache
-
-
-def _span_cases():
-    """(resident lines, span) cases covering hit, miss and conflict."""
-    return [
-        (range(0, 16), (0, 15)),        # fully resident
-        (range(0, 16), (0, 16)),        # one line short -> miss
-        ((), (3, 5)),                   # empty cache
-        (range(0, 8), (2, 2)),          # single line
-        ([0, 8, 16, 24], (0, 0)),       # conflict set, way search
-        (range(100, 140), (100, 131)),  # wider than num_sets
-    ]
-
 
 class TestKernelParity:
     @pytest.mark.parametrize("name", AVAILABLE)
@@ -175,31 +144,6 @@ class TestKernelParity:
                 intersect_multi([a, b, c]),
                 np.intersect1d(np.intersect1d(a, b), c),
             )
-
-    @pytest.mark.parametrize("name", AVAILABLE)
-    @pytest.mark.parametrize("resident,span", _span_cases())
-    def test_span_resident_stamp_state_parity(self, name, resident, span):
-        kernels = backend.activate(name)
-        mine = _filled_cache(resident=resident)
-        ref = _filled_cache(resident=resident)
-        got = kernels.span_resident_stamp(mine, span[0], span[1])
-        want = pure_backend.span_resident_stamp(ref, span[0], span[1])
-        assert got == want
-        np.testing.assert_array_equal(mine._tags, ref._tags)
-        np.testing.assert_array_equal(mine._stamps, ref._stamps)
-        assert mine._tick == ref._tick
-
-    @pytest.mark.parametrize("name", AVAILABLE)
-    def test_ema_fold_window_parity(self, name):
-        kernels = backend.activate(name)
-        for n in (1, 3, 8, 17, 300):
-            mine = PELatencyWindow()
-            ref = PELatencyWindow()
-            kernels.ema_fold(mine, 21.5, n)
-            pure_backend.ema_fold(ref, 21.5, n)
-            assert mine.value == ref.value
-            assert mine.total_latency == ref.total_latency
-            assert mine.samples == ref.samples
 
 
 class TestSimulationParity:

@@ -111,7 +111,6 @@ class TestAncestorSets:
         _, pe = build(small_er, code="4cl")
         root = SimTask(depth=0, vertex=20, embedding=(20,), parent=None, tree=1)
         root.candidates = pe.context.expand((20,)).candidates
-        child = SimTask(depth=1, vertex=5, embedding=(20, 5), parent=root, tree=1)
-        sets = pe._ancestor_sets(child)
+        sets = pe._child_sets(root)  # what root's children derive from
         assert sets[1] is root.candidates
         assert sets[2] is None

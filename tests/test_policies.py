@@ -6,14 +6,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import GroupDFSPolicy, chunked
+from repro.core import GroupDFSPolicy
 from repro.errors import SimulationError
 from repro.graph import erdos_renyi_gnm, from_edges, rmat
 from repro.patterns import benchmark_schedule, benchmark_schedules
 from repro.sim import SimConfig
 from repro.sim.accelerator import POLICIES, Accelerator
 from repro.sim.trace import TraceRecorder
-from tests.oracles import ReferenceGroupDFS
+from tests.oracles import ReferenceGroupDFS, chunked
 
 
 def fresh_pe(graph, policy, code="4cl", **cfg):

@@ -5,37 +5,8 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SetBufferMap, TokenPool
+from repro.core import SetBufferMap
 from repro.sim import Engine
-
-
-@settings(max_examples=80, deadline=None)
-@given(ops=st.lists(st.sampled_from(["acquire", "release", "resize_up", "resize_down"]), max_size=60))
-def test_token_pool_state_machine(ops):
-    """Model-based: the pool never double-issues, never loses capacity."""
-    pool = TokenPool(3)
-    held = set()
-    target = 3
-    for op in ops:
-        if op == "acquire":
-            token = pool.acquire()
-            if token is not None:
-                assert token not in held
-                held.add(token)
-        elif op == "release" and held:
-            token = held.pop()
-            pool.release(token)
-        elif op == "resize_up":
-            target += 1
-            pool.resize(target)
-        elif op == "resize_down" and target > 1:
-            target -= 1
-            pool.resize(target)
-        # Invariants after every step: capacity in circulation (free
-        # tokens + held tokens that will return) always equals target.
-        assert pool.held == len(held)
-        assert pool.available >= 0
-        assert pool.available + pool.held - len(pool._retired) == target
 
 
 @settings(max_examples=60, deadline=None)

@@ -46,7 +46,6 @@ class TestPartitionMessage:
         root = tree.select(False)
         root.candidates = pe.context.expand(root.embedding).candidates
         root.children_vertices = [0, 1, 2, 3, 4, 5]
-        root.state = root.state
         tree.on_complete(root)
         partitions = plan_partitions(pe.policy, helpers=2)
         assert partitions

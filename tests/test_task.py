@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SimTask, TaskState
+from repro.core import SimTask
 
 
 def make_task(depth=0, vertex=0, parent=None, children=None):
@@ -38,6 +38,3 @@ class TestIdentity:
         root = make_task(depth=0, vertex=7)
         child = make_task(depth=1, vertex=3, parent=root)
         assert child.embedding == (7, 3)
-
-    def test_default_state_ready(self):
-        assert make_task().state == TaskState.READY

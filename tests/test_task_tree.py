@@ -8,7 +8,7 @@ preferences in isolation.
 
 import pytest
 
-from repro.core import TaskState
+from repro.core.task_tree import CTL_EXECUTING, CTL_READY
 from repro.graph import from_edges
 from repro.patterns import benchmark_schedule
 from repro.sim import SimConfig
@@ -28,7 +28,6 @@ def finish_task(tree, pe, task, children):
         task.candidates = pe.context.expand(task.embedding).candidates
         pe.footprint_add(len(task.candidates) * 4)
     task.children_vertices = list(children)
-    task.state = TaskState.COMPLETE
     tree.on_complete(task)
 
 
@@ -54,8 +53,15 @@ class TestRootIntake:
         _, _, tree = make_tree(k5)
         tree.add_root(4, 1)
         task = tree.select(conservative=False)
-        assert task.state == TaskState.EXECUTING
+        s = tree.state
+        # Executing: out of the ready ring, counted in the PE pipeline,
+        # and its entry holds the token the task carries.
+        assert tree._ctl[CTL_READY] == 0
+        assert tree._ctl[CTL_EXECUTING] == 1
+        assert s.b_executing[task.bunch] == 1
+        assert s.ring_len[task.bunch] == 0
         assert task.token is not None
+        assert s.e_token[task.slot] == task.token
         assert task.set_address is not None
 
 
@@ -65,7 +71,16 @@ class TestSpawnExtend:
         tree.add_root(4, 1)
         root = tree.select(False)
         finish_task(tree, pe, root, [0, 1, 2, 3])
-        assert root.state == TaskState.RESTING
+        s = tree.state
+        # Resting: the root's entry stays active (token held) but no
+        # longer executes, and it parents the filled depth-1 bunch.
+        assert tree._ctl[CTL_EXECUTING] == 0
+        assert s.b_executing[root.bunch] == 0
+        assert s.b_active[root.bunch] == 1
+        assert s.e_token[root.slot] == root.token
+        kids = [b for b in range(s.nb) if tree._bunch_parent[b] is root]
+        assert len(kids) == 1 and s.b_in_use[kids[0]]
+        assert s.b_active[kids[0]] == 4
         assert tree.ready_count() == 4
         assert root.unexplored == 0  # all four fit in one bunch
 
@@ -129,7 +144,7 @@ class TestCompletionPropagation:
             task = tree.select(False)
             if task is None:
                 pending = tree.has_work()
-                if pending and tree.executing_count() == 0:
+                if pending and tree._ctl[CTL_EXECUTING] == 0:
                     pytest.fail("tree stalled")
                 break
             if task.depth < pe.schedule.max_depth:
@@ -195,8 +210,16 @@ class TestPartitions:
         _, pe, tree = make_tree(k5)
         chain = tree.add_partition((4, 3), [0, 1], tree_id=5)
         assert [t.depth for t in chain] == [0, 1]
-        assert chain[0].state == TaskState.RESTING
-        assert chain[1].state == TaskState.RESTING
+        s = tree.state
+        # Both prefix entries are Resting: installed in in-use bunches,
+        # active but never executing, each parenting the next bunch.
+        for task in chain:
+            assert s.b_in_use[task.bunch] and s.b_active[task.bunch] == 1
+            assert s.b_executing[task.bunch] == 0
+            assert s.e_vertex[task.slot] == task.vertex
+        assert tree._bunch_parent[chain[1].bunch] is chain[0]
+        assert any(tree._bunch_parent[b] is chain[1] for b in range(s.nb))
+        assert tree._ctl[CTL_EXECUTING] == 0
         assert tree.ready_count() == 2  # the two shipped candidates
         assert tree.has_work()
         assert tree.op_calls["fill_kernel"] > 0  # the list went through the op

@@ -2,81 +2,8 @@
 
 import pytest
 
-from repro.core import SetBufferMap, TokenPool
+from repro.core import SetBufferMap
 from repro.errors import SimulationError
-
-
-class TestTokenPool:
-    def test_acquire_release_cycle(self):
-        pool = TokenPool(2)
-        a = pool.acquire()
-        b = pool.acquire()
-        assert {a, b} == {0, 1}
-        assert pool.acquire() is None
-        pool.release(a)
-        assert pool.acquire() == a
-
-    def test_available_held(self):
-        pool = TokenPool(3)
-        pool.acquire()
-        assert pool.available == 2
-        assert pool.held == 1
-
-    def test_double_release_rejected(self):
-        pool = TokenPool(2)
-        t = pool.acquire()
-        pool.release(t)
-        with pytest.raises(SimulationError):
-            pool.release(t)
-
-    def test_release_never_acquired(self):
-        pool = TokenPool(2)
-        with pytest.raises(SimulationError):
-            pool.release(0)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(SimulationError):
-            TokenPool(0)
-
-    def test_grow(self):
-        pool = TokenPool(1)
-        pool.acquire()
-        pool.resize(3)
-        assert pool.available == 2
-
-    def test_shrink_drops_free_tokens(self):
-        pool = TokenPool(4)
-        pool.resize(2)
-        assert pool.available == 2
-        assert pool.acquire() is not None
-        assert pool.acquire() is not None
-        assert pool.acquire() is None
-
-    def test_shrink_retires_held_lazily(self):
-        pool = TokenPool(3)
-        tokens = [pool.acquire() for _ in range(3)]
-        pool.resize(1)
-        assert pool.available == 0
-        for t in tokens:
-            pool.release(t)
-        # Exactly one unit of capacity survives the shrink.
-        assert pool.available == 1
-        assert pool.acquire() is not None
-        assert pool.acquire() is None
-
-    def test_grow_cancels_pending_shrink(self):
-        pool = TokenPool(2)
-        a = pool.acquire()
-        b = pool.acquire()
-        pool.resize(1)   # both held: one marked retired
-        pool.resize(2)   # cancel the retirement instead of minting
-        pool.release(a)
-        pool.release(b)
-        assert pool.available == 2
-
-    def test_shrink_to_zero_rejected(self):
-        with pytest.raises(SimulationError):
-            TokenPool(2).resize(0)
 
 
 class TestSetBufferMap:
